@@ -14,8 +14,8 @@ row-major):
     tensors       name (u32 length + utf-8) + ndim u32 + dims u32[ndim]
                   + payload f32[product(dims)]
 
-Round-trips are bit-exact; loading rejects wrong magic or version and any
-structural damage.
+Round-trips are bit-exact; loading rejects wrong magic or version, any
+structural damage, text that is not UTF-8 and non-finite tensor values.
 """
 
 from __future__ import annotations
@@ -89,7 +89,11 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
     def string(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+        try:
+            return self.take(self.u32()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(
+                f"{self.path}: text field is not valid UTF-8 ({exc.reason})") from None
 
 
 def load_checkpoint(path) -> tuple[CheckpointHeader, dict[str, Tensor]]:
@@ -114,6 +118,8 @@ def load_checkpoint(path) -> tuple[CheckpointHeader, dict[str, Tensor]]:
         if name in tensors:
             raise CheckpointError(f"{path}: duplicate tensor {name!r}")
         arr = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(DTYPE, copy=True)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
         tensors[name] = Tensor._wrap(arr)
     if r.pos != len(r.blob):
         raise CheckpointError(f"{path}: {len(r.blob) - r.pos} trailing bytes")

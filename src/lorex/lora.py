@@ -2,11 +2,14 @@
 
 An adapter is a pair of factors (b, a) whose product is a strictly low-rank
 delta on one frozen base weight. A layer carries one adapter per task and
-composes them at inference time by *output aggregation*: the base path plus
-each active adapter path scaled by its composition weight. The equivalent
-*merged-weights* path (add the weighted deltas onto the base weight, then
-run a plain forward) exists as an oracle and an export; per-layer linearity
-in the weight makes the two agree up to float reassociation.
+composes them by *merged weights*: the weighted deltas are added onto the
+base weight and the layer runs one plain forward on the sum. Per-layer
+linearity in the weight makes this equal, up to float reassociation, to
+*output aggregation* (the base path plus each active adapter path scaled
+by its composition weight), which ``aggregated_forward`` keeps as the
+reference the tests compare against. With a gradient tape the merge is
+built from taped ops, so the factors get their gradients through the
+merged weight's gradient by the chain rule.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .numerics import (
     bias_add,
     bias_add_rows,
     conv2d,
-    lower_conv,
     matmul,
     reshape,
     scale,
@@ -123,89 +125,96 @@ def lora_delta(adapter: LoraAdapter) -> Tensor:
     return scale(matmul(adapter.b, adapter.a), adapter.scale)
 
 
-def _check_weights(layer: AdaptedLayer, s) -> np.ndarray:
+def _active(layer: AdaptedLayer, s, tape: GradTape | None) -> list[tuple[float, LoraAdapter]]:
+    # Adapters with a nonzero weight. Outside of gradient recording, adapters
+    # whose up-projection is still all-zero are dropped too: their delta is
+    # exactly zero. Taped runs keep them so a fresh b gets its gradient.
     s = np.asarray(s, dtype=DTYPE).ravel()
     if s.shape != (layer.task_count,):
         raise ConfigError(
             f"weight vector has length {s.shape[0]}, layer has {layer.task_count} adapters")
     if not np.all(np.isfinite(s)):
         raise NumericError("weight vector contains non-finite values")
-    return s
+    return [(float(si), ad) for si, ad in zip(s, layer.adapters)
+            if si != 0.0 and not (tape is None and not ad.b.data.any())]
+
+
+def _merge(layer: AdaptedLayer, active) -> np.ndarray:
+    acc = layer.base_weight.data.copy()
+    flat = acc.reshape(layer.flat_dims)
+    for si, adapter in active:
+        flat += DTYPE(si * adapter.scale) * (adapter.b.data @ adapter.a.data)
+    return acc
 
 
 def _base_forward(layer: AdaptedLayer, x: Tensor, tape: GradTape | None,
-                  weight: Tensor | None = None, lowered=None) -> Tensor:
+                  weight: Tensor | None = None) -> Tensor:
     w = layer.base_weight if weight is None else weight
     if layer.kind == "linear":
         out = matmul(x, transpose2d(w, tape), tape)
         if layer.base_bias is not None:
             out = bias_add_rows(out, layer.base_bias, tape)
     else:
-        out = conv2d(x, w, layer.padding, layer.stride, tape, lowered=lowered)
+        out = conv2d(x, w, layer.padding, layer.stride, tape)
         if layer.base_bias is not None:
             out = bias_add(out, layer.base_bias, tape)
     return out
 
 
+def adapted_forward(layer: AdaptedLayer, x: Tensor, s, tape: GradTape | None = None) -> Tensor:
+    """One forward on the merged weight W + sum_k s_k * delta_k.
+
+    With no active adapter this is the plain base forward, bit-identical to
+    the layer without adapters. With a tape the merged weight is built from
+    taped ops, so the adapter factors receive gradients.
+    """
+    active = _active(layer, s, tape)
+    if not active:
+        return _base_forward(layer, x, tape)
+    if tape is None:
+        return _base_forward(layer, x, None, Tensor._wrap(_merge(layer, active)))
+    weight = layer.base_weight
+    for si, adapter in active:
+        delta = scale(matmul(adapter.b, adapter.a, tape), si * adapter.scale, tape)
+        weight = add(weight, reshape(delta, weight.dims, tape), tape)
+    return _base_forward(layer, x, tape, weight)
+
+
 def _delta_forward(layer: AdaptedLayer, adapter: LoraAdapter, x: Tensor,
-                   weight: float, tape: GradTape | None, lowered=None) -> Tensor:
-    factor = float(weight) * adapter.scale
+                   weight: float, tape: GradTape | None) -> Tensor:
+    factor = weight * adapter.scale
     if layer.kind == "linear":
         h = matmul(x, transpose2d(adapter.a, tape), tape)
         h = matmul(h, transpose2d(adapter.b, tape), tape)
         return scale(h, factor, tape)
     co, ci, kh, kw = layer.base_weight.dims
     ka = reshape(adapter.a, (adapter.rank, ci, kh, kw), tape)
-    h = conv2d(x, ka, layer.padding, layer.stride, tape, lowered=lowered)
+    h = conv2d(x, ka, layer.padding, layer.stride, tape)
     kb = reshape(adapter.b, (co, adapter.rank, 1, 1), tape)
     h = conv2d(h, kb, "same", 1, tape)
     return scale(h, factor, tape)
 
 
-def _lowering(layer: AdaptedLayer, x: Tensor, tape: GradTape | None):
-    if layer.kind != "conv":
-        return None
-    return lower_conv(x, layer.base_weight.dims[2], layer.stride, layer.padding, tape)
-
-
-def adapted_forward(layer: AdaptedLayer, x: Tensor, s, tape: GradTape | None = None) -> Tensor:
-    """Base output plus weighted adapter outputs.
-
-    Only adapters with a nonzero weight are evaluated. Outside of gradient
-    recording, adapters whose up-projection is still all-zero are skipped
-    too: their path is exactly zero, so the base output passes through
-    bit-identical.
-    """
-    s = _check_weights(layer, s)
-    active = [(float(si), ad) for si, ad in zip(s, layer.adapters)
-              if si != 0.0 and not (tape is None and not ad.b.data.any())]
-    lowered = _lowering(layer, x, tape)
-    out = _base_forward(layer, x, tape, lowered=lowered)
-    for si, adapter in active:
-        out = add(out, _delta_forward(layer, adapter, x, si, tape, lowered=lowered), tape)
+def aggregated_forward(layer: AdaptedLayer, x: Tensor, s,
+                       tape: GradTape | None = None) -> Tensor:
+    """Base output plus weighted adapter outputs: the output-aggregation
+    reference for ``adapted_forward``, with the same active-adapter rule."""
+    out = _base_forward(layer, x, tape)
+    for si, adapter in _active(layer, s, tape):
+        out = add(out, _delta_forward(layer, adapter, x, si, tape), tape)
     return out
 
 
 def merge_weights(layer: AdaptedLayer, s) -> Tensor:
-    """The merged weight W + sum_k s_k * delta_k. Does not mutate the layer."""
-    s = _check_weights(layer, s)
-    if not s.any():
-        return layer.base_weight.copy()
-    acc = layer.base_weight.data.copy()
-    n, m = layer.flat_dims
-    flat = acc.reshape(n, m)
-    for si, adapter in zip(s, layer.adapters):
-        if si == 0.0:
-            continue
-        flat += DTYPE(float(si) * adapter.scale) * (adapter.b.data @ adapter.a.data)
-    return Tensor._wrap(acc)
+    """The merged weight W + sum_k s_k * delta_k, skipping all-zero
+    up-projections as inference does. Does not mutate the layer."""
+    return Tensor._wrap(_merge(layer, _active(layer, s, None)))
 
 
 def merged_forward(layer: AdaptedLayer, merged_weight: Tensor, x: Tensor,
                    tape: GradTape | None = None) -> Tensor:
-    """Plain forward with a replacement weight; the merge oracle's other half."""
+    """Plain forward with a replacement weight, e.g. from ``merge_weights``."""
     if merged_weight.dims != layer.base_weight.dims:
         raise ShapeError(
             f"merged weight dims {merged_weight.dims} != base {layer.base_weight.dims}")
-    return _base_forward(layer, x, tape, weight=merged_weight,
-                         lowered=_lowering(layer, x, tape))
+    return _base_forward(layer, x, tape, weight=merged_weight)

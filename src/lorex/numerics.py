@@ -195,73 +195,13 @@ def _col2im(gcols: np.ndarray, n: int, c: int, h: int, w: int,
     return buf
 
 
-class ConvLowering:
-    """Taped im2col lowering of one conv input.
-
-    The cols matrix is itself a tape participant, so every conv that shares
-    it (the base path and each adapter path of one layer) accumulates its
-    input-gradient there and the col2im scatter back onto the image grid
-    runs once.
-    """
-
-    __slots__ = ("cols", "geom", "shape", "squeeze", "source")
-
-    def __init__(self, cols: Tensor, geom, shape, squeeze: bool, source: Tensor):
-        self.cols = cols
-        self.geom = geom        # (k, stride, pad, oh, ow)
-        self.shape = shape      # (n, c, h, w)
-        self.squeeze = squeeze
-        self.source = source
-
-
-def lower_conv(x: Tensor, k: int, stride: int = 1, padding: str = "same",
-               tape: GradTape | None = None) -> ConvLowering:
-    squeeze = x.data.ndim == 3
-    x4 = x.data[None] if squeeze else x.data
-    n, c, h, w = x4.shape
-    pad = (k - 1) // 2 if padding == "same" else 0
-    cols_arr, oh, ow = _im2col(x4, k, stride, pad)
-    cols = Tensor._wrap(cols_arr)
-    if tape is not None:
-        def pull(g):
-            gx = _col2im(g, n, c, h, w, k, stride, pad, oh, ow)
-            return gx[0] if squeeze else gx
-        tape.record(cols, [(x, pull)])
-    return ConvLowering(cols, (k, stride, pad, oh, ow), (n, c, h, w), squeeze, x)
-
-
-def _conv_from_lowering(lw: ConvLowering, kernel: Tensor,
-                        tape: GradTape | None) -> Tensor:
-    n = lw.shape[0]
-    co = kernel.dims[0]
-    k, stride, pad, oh, ow = lw.geom
-    cols = lw.cols
-    wmat = kernel.data.reshape(co, -1)
-    out4 = np.matmul(wmat, cols.data).reshape(n, co, oh, ow)
-    out = Tensor._wrap(out4[0] if lw.squeeze else out4)
-    if tape is not None:
-        def pull_cols(g):
-            g4 = g[None] if lw.squeeze else g
-            return np.matmul(wmat.T, g4.reshape(n, co, oh * ow))
-
-        def pull_w(g):
-            g4 = g[None] if lw.squeeze else g
-            gmat = g4.reshape(n, co, oh * ow)
-            gw = np.matmul(gmat, cols.data.transpose(0, 2, 1)).sum(axis=0)
-            return gw.reshape(kernel.dims)
-
-        tape.record(out, [(cols, pull_cols), (kernel, pull_w)])
-    return out
-
-
 def conv2d(x: Tensor, kernel: Tensor, padding: str = "same", stride: int = 1,
-           tape: GradTape | None = None, lowered: ConvLowering | None = None) -> Tensor:
+           tape: GradTape | None = None) -> Tensor:
     """2-D cross-correlation (no kernel flip), zero padding.
 
     ``x`` is (C,H,W) or (N,C,H,W); ``kernel`` is (C_out,C_in,k,k) with k odd.
     ``same`` pads symmetrically with (k-1)/2 zeros, so stride 1 preserves
-    H and W and stride 2 halves even extents. ``lowered`` optionally reuses
-    a ``lower_conv`` result built from the same x with the same geometry.
+    H and W and stride 2 halves even extents.
     """
     if padding not in ("same", "valid"):
         raise ConfigError(f"padding must be 'same' or 'valid', got {padding!r}")
@@ -283,9 +223,24 @@ def conv2d(x: Tensor, kernel: Tensor, padding: str = "same", stride: int = 1,
         raise ShapeError(f"input {h}x{w} smaller than kernel {k} under valid padding")
     pad = (k - 1) // 2 if padding == "same" else 0
 
-    if lowered is None or lowered.source is not x or lowered.geom[:3] != (k, stride, pad):
-        lowered = lower_conv(x, k, stride, padding, tape)
-    return _conv_from_lowering(lowered, kernel, tape)
+    cols, oh, ow = _im2col(x4, k, stride, pad)
+    co = kernel.dims[0]
+    wmat = kernel.data.reshape(co, -1)
+    out4 = np.matmul(wmat, cols).reshape(n, co, oh, ow)
+    out = Tensor._wrap(out4[0] if squeeze else out4)
+    if tape is not None:
+        def pull_x(g):
+            gmat = (g[None] if squeeze else g).reshape(n, co, oh * ow)
+            gx = _col2im(np.matmul(wmat.T, gmat), n, c, h, w, k, stride, pad, oh, ow)
+            return gx[0] if squeeze else gx
+
+        def pull_w(g):
+            gmat = (g[None] if squeeze else g).reshape(n, co, oh * ow)
+            gw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0)
+            return gw.reshape(kernel.dims)
+
+        tape.record(out, [(x, pull_x), (kernel, pull_w)])
+    return out
 
 
 def transpose2d(x: Tensor, tape: GradTape | None = None) -> Tensor:

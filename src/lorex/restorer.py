@@ -6,7 +6,8 @@ specializes it. Training is strictly per task: every batch comes from one
 degradation type, the composition weights are the matching one-hot vector,
 and only that task's adapter factors receive updates — the base and all
 other adapter sets stay bit-identical. Inference composes experts per
-layer with the weights supplied manually or by the router.
+layer, by merging their weighted deltas into the layer's weight, with the
+weights supplied manually or by the router.
 """
 
 from __future__ import annotations
@@ -165,11 +166,11 @@ def _check_input(x: Tensor) -> tuple[np.ndarray, bool]:
 
 def forward(model: RestorerModel, x: Tensor, s, tape: GradTape | None = None,
             merged: bool = False) -> Tensor:
-    """Full forward pass with per-layer expert aggregation.
+    """Full forward pass; each layer runs once on its merged weight.
 
     With ``merged=True`` every adapted layer instead runs a plain forward
-    on its merged weight — the whole-network half of the merge/aggregate
-    equivalence oracle. Output is unclipped (training needs the gradient);
+    on the exported ``merge_weights`` tensor, which carries no gradient to
+    the adapter factors. Output is unclipped (training needs the gradient);
     ``restore`` applies the [0,1] clamp.
     """
     x4, squeeze = _check_input(x)

@@ -11,7 +11,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from lorex import persist
+from lorex import persist, restorer
 from lorex.cli import main as cli_main
 from lorex.degradations import gen_clean_image, read_ppm
 from lorex.harness import (
@@ -20,8 +20,8 @@ from lorex.harness import (
     routing_accuracy,
     strategy_weight_fn,
 )
-from lorex.lora import AdaptedLayer, LoraAdapter, adapted_forward, merge_weights, \
-    merged_forward
+from lorex.lora import AdaptedLayer, LoraAdapter, adapted_forward, aggregated_forward, \
+    merge_weights, merged_forward
 from lorex.numerics import (
     Tensor,
     add,
@@ -93,13 +93,13 @@ def random_layer(rng, kind):
     return layer, x, s
 
 
-def test_criterion_1_merge_aggregate_equivalence():
+def test_criterion_1_merge_aggregate_equivalence(monkeypatch):
     t0 = time.time()
     worst_layer = 0.0
     for trial in range(1000):
         rng = np.random.default_rng(4000 + trial)
         layer, x, s = random_layer(rng, "linear" if trial % 10 < 7 else "conv")
-        agg = adapted_forward(layer, x, s)
+        agg = aggregated_forward(layer, x, s)
         mrg = merged_forward(layer, merge_weights(layer, s), x)
         worst_layer = max(worst_layer, rel_err(agg.data, mrg.data))
 
@@ -113,8 +113,11 @@ def test_criterion_1_merge_aggregate_equivalence():
         x = Tensor(rng.random((3, 32, 32), dtype=np.float32))
         s = rng.random(3).astype(np.float32)
         s /= s.sum()
-        agg = forward(model, x, s)
         mrg = forward(model, x, s, merged=True)
+        with monkeypatch.context() as m:
+            # the aggregation side: every layer sums its expert outputs
+            m.setattr(restorer, "adapted_forward", aggregated_forward)
+            agg = forward(model, x, s)
         worst_net = max(worst_net, rel_err(agg.data, mrg.data))
 
     elapsed = time.time() - t0

@@ -77,6 +77,26 @@ class TestContainer:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_payload(self, tmp_path, header, tensors, bad):
+        path = tmp_path / "x.uirl"
+        save_checkpoint(path, header, tensors)
+        blob = bytearray(path.read_bytes())
+        at = blob.find(tensors["beta"].data.tobytes()) + 4 * 3
+        blob[at:at + 4] = np.float32(bad).tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="non-finite"):
+            load_checkpoint(path)
+
+    def test_rejects_non_utf8_label(self, tmp_path, header, tensors):
+        path = tmp_path / "x.uirl"
+        save_checkpoint(path, header, tensors)
+        blob = bytearray(path.read_bytes())
+        blob[blob.find(b"noise")] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="UTF-8"):
+            load_checkpoint(path)
+
     def test_save_deterministic(self, tmp_path, header, tensors):
         save_checkpoint(tmp_path / "a.uirl", header, tensors)
         save_checkpoint(tmp_path / "b.uirl", header, tensors)
@@ -117,6 +137,18 @@ class TestModelPersistence:
         save_checkpoint(tmp_path / "m.uirl", persist.model_header(model), tensors)
         with pytest.raises(CheckpointError):
             persist.load_model(tmp_path / "m.uirl")
+
+    def test_nan_weight_rejected(self, tmp_path):
+        # a NaN weight would otherwise load and make every restore NaN
+        model = build_model(("a",), seed=5)
+        path = tmp_path / "m.uirl"
+        persist.save_model(path, model)
+        blob = bytearray(path.read_bytes())
+        at = blob.find(model.layers["bot1"].base_weight.data.tobytes())
+        blob[at:at + 4] = np.float32(np.nan).tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="non-finite"):
+            persist.load_model(path)
 
     def test_base_digest_stable(self, tmp_path):
         model = build_model(("a", "b"), seed=6)

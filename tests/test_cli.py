@@ -1,15 +1,20 @@
 """End-to-end CLI behavior on a miniature pipeline."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lorex
 from lorex import persist
 from lorex.cli import main
 from lorex.degradations import read_ppm, write_ppm
 from lorex.numerics import Tensor
+from lorex.restorer import build_model
 from lorex.router import predict_with_crop_correction
 
 
@@ -84,6 +89,24 @@ class TestExitCodes:
                    "--input", img, "--output", tmp_path / "y.ppm", "--s", "1,0")
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_non_utf8_checkpoint_label_is_1_without_traceback(self, tmp_path):
+        ckpt = tmp_path / "m.uirl"
+        persist.save_model(ckpt, build_model(("noise", "blur"), seed=1))
+        blob = bytearray(ckpt.read_bytes())
+        blob[blob.find(b"noise")] = 0xFF
+        ckpt.write_bytes(bytes(blob))
+        img = tmp_path / "x.ppm"
+        write_ppm(img, Tensor(np.zeros((3, 32, 32), np.float32)))
+        env = dict(os.environ, PYTHONPATH=str(Path(lorex.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lorex.cli", "restore", "--ckpt", str(ckpt),
+             "--input", str(img), "--output", str(tmp_path / "y.ppm"), "--s", "1,0"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_invalid_weights_is_1(self, mini, tmp_path, capsys):
         img = tmp_path / "x.ppm"

@@ -1,4 +1,5 @@
-"""Adapter algebra: deltas, aggregation, merging, and their equivalence."""
+"""Adapter algebra: deltas, merging, the aggregation reference, and their
+equivalence in outputs and gradients."""
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ from lorex.lora import (
     AdaptedLayer,
     LoraAdapter,
     adapted_forward,
+    aggregated_forward,
     lora_delta,
     merge_weights,
     merged_forward,
 )
-from lorex.numerics import GradTape, Tensor, l1_loss, finite_difference_check
+from lorex.numerics import GradTape, Tensor, finite_difference_check, l1_loss, mul, sum_all
 
 
 def rel_err(got: np.ndarray, want: np.ndarray) -> float:
@@ -121,6 +123,14 @@ class TestMergeWeights:
         merged = merge_weights(layer, [0.5, 0.5])
         np.testing.assert_allclose(merged.data, [[1, 1], [1.5, 1]], rtol=1e-6)
 
+    def test_zero_up_projection_skipped_bit_exact(self, rng):
+        # a fresh expert with a nonzero weight leaves the base untouched,
+        # as inference does
+        layer = random_linear_layer(rng, 5, 7, 3)
+        layer.adapters[2].b = Tensor.zeros(layer.adapters[2].b.dims)
+        merged = merge_weights(layer, [0, 0, 0.8])
+        assert merged.data.tobytes() == layer.base_weight.data.tobytes()
+
     def test_does_not_mutate_layer(self, rng):
         layer = random_linear_layer(rng, 4, 6, 2)
         before = layer.base_weight.data.tobytes()
@@ -165,6 +175,14 @@ class TestAdaptedForward:
         mrg = merged_forward(layer, merge_weights(layer, s), x)
         assert rel_err(agg.data, mrg.data) <= 1e-5
 
+    def test_untaped_equals_exported_merge_bit_exact(self, rng):
+        x = Tensor(rng.standard_normal((2, 3, 8, 8)).astype(np.float32))
+        layer = random_conv_layer(rng, 4, 3, 3, stride=2)
+        s = [0.2, 0.0, 0.7]
+        out = adapted_forward(layer, x, s)
+        mrg = merged_forward(layer, merge_weights(layer, s), x)
+        assert out.data.tobytes() == mrg.data.tobytes()
+
     def test_weight_length_error(self, rng):
         layer = random_linear_layer(rng, 4, 6, 2)
         with pytest.raises(ConfigError):
@@ -178,7 +196,8 @@ class TestAdaptedForward:
 
 class TestMergeAggregateEquivalence:
     """Per-layer Eq(merged weights) == Eq(output aggregation) up to float
-    reassociation, over many random (layer, x, s) triples."""
+    reassociation, over many random (layer, x, s) triples; the aggregation
+    side is the ``aggregated_forward`` reference."""
 
     TRIALS = 300  # the acceptance suite runs the full 1000
 
@@ -189,7 +208,7 @@ class TestMergeAggregateEquivalence:
             layer = random_linear_layer(rng, n, m, t, rank)
             x = Tensor(rng.standard_normal((int(rng.integers(1, 5)), m)).astype(np.float32))
             s = (rng.random(t) * (rng.random(t) < 0.7)).astype(np.float32)
-            agg = adapted_forward(layer, x, s)
+            agg = aggregated_forward(layer, x, s)
             mrg = merged_forward(layer, merge_weights(layer, s), x)
             assert rel_err(agg.data, mrg.data) <= 1e-5
 
@@ -202,7 +221,7 @@ class TestMergeAggregateEquivalence:
             layer = random_conv_layer(rng, co, ci, t, rank, stride, padding)
             x = Tensor(rng.standard_normal((1, ci, 8, 8)).astype(np.float32))
             s = (rng.random(t) * (rng.random(t) < 0.7)).astype(np.float32)
-            agg = adapted_forward(layer, x, s)
+            agg = aggregated_forward(layer, x, s)
             mrg = merged_forward(layer, merge_weights(layer, s), x)
             assert rel_err(agg.data, mrg.data) <= 1e-5
 
@@ -253,3 +272,33 @@ class TestGradientFlow:
 
         assert finite_difference_check(f_b, layer.adapters[0].b) <= 1e-3
         assert finite_difference_check(f_a, layer.adapters[1].a) <= 1e-3
+
+    def test_gradients_match_aggregation_reference(self, rng):
+        # the merged taped path gets dB and dA through dW_eff; they must
+        # agree with the per-expert paths of the aggregation reference
+        cases = [("conv", stride, padding) for stride in (1, 2)
+                 for padding in ("same", "valid")] + [("linear", 1, "same")] * 2
+        for kind, stride, padding in cases * 3:
+            t = 4
+            if kind == "conv":
+                layer = random_conv_layer(rng, 5, 3, t, rank=2, stride=stride,
+                                          padding=padding)
+                x = Tensor(rng.standard_normal((2, 3, 8, 8)).astype(np.float32))
+            else:
+                layer = random_linear_layer(rng, 6, 9, t, rank=3)
+                x = Tensor(rng.standard_normal((4, 9)).astype(np.float32))
+            layer.adapters[3].b = Tensor.zeros(layer.adapters[3].b.dims)
+            s = np.array([0.5, 0.0, 0.3, 0.2], np.float32)
+            w = Tensor(rng.standard_normal(adapted_forward(layer, x, s).dims)
+                       .astype(np.float32))
+            params = [p for ad in layer.adapters for p in ad.params()] + [x]
+            grads = []
+            for fwd in (adapted_forward, aggregated_forward):
+                tape = GradTape()
+                loss = sum_all(mul(fwd(layer, x, s, tape), w, tape), tape)
+                grads.append(tape.gradients(loss, params))
+            for got, want in zip(*grads):
+                if want.any():
+                    assert np.abs(got - want).max() / np.abs(want).max() <= 1e-4
+                else:
+                    np.testing.assert_array_equal(got, 0)
