@@ -38,7 +38,6 @@ from .restorer import (
     pretrain_base,
     restore,
     restore_auto,
-    train_lora_for,
 )
 from .router import (
     RouterOutput,

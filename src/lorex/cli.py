@@ -4,7 +4,10 @@ Subcommands: gen-data, pretrain-base, train-lora, train-router, restore,
 eval, ablate-routing, sweep-rank. Every subcommand is deterministic given
 --seed. Options resolve as flags > config file > defaults; the config file
 is INI-style ``key = value`` under ``[data]``, ``[train]``, ``[router]``
-and ``[eval]`` sections.
+and ``[eval]`` sections. The defaults are the library's own: the field
+defaults of ``DatasetConfig`` for ``[data]``, ``TrainConfig()`` for expert
+training and ``harness.PRETRAIN`` / ``harness.ROUTER`` for the other two
+training stages.
 
 Exit codes: 0 success, 1 runtime or invariant failure, 2 usage error.
 """
@@ -26,23 +29,6 @@ from .restorer import AdapterTrainer, TrainConfig, build_model, pretrain_base, \
     restore, restore_auto
 from .router import build_router, train_router
 
-DEFAULTS = {
-    ("data", "seed"): 7,
-    ("data", "train_per_task"): 200,
-    ("data", "test_per_task"): 40,
-    ("data", "mixed_pairs"): 40,
-    ("data", "patch"): 32,
-    ("train", "learning_rate"): 1e-3,
-    ("train", "batch_size"): 8,
-    ("train", "pretrain_learning_rate"): 2e-3,
-    ("train", "pretrain_iterations"): 4000,
-    ("train", "lora_iterations"): 2000,
-    ("router", "learning_rate"): 1e-3,
-    ("router", "batch_size"): 16,
-    ("router", "iterations"): 6000,
-    ("eval", "k"): 1,
-}
-
 
 class _Options:
     """flags > config file > defaults."""
@@ -54,22 +40,54 @@ class _Options:
             path = Path(args.config)
             if not path.exists():
                 raise ConfigError(f"config file not found: {path}")
-            self.cfg.read(path)
+            try:
+                self.cfg.read(path, encoding="utf-8")
+            except (configparser.Error, UnicodeDecodeError) as exc:
+                first_line = str(exc).splitlines()[0]
+                raise ConfigError(f"cannot parse config file {path}: {first_line}") from exc
 
-    def get(self, section: str, key: str, cast=int):
+    def get(self, section: str, key: str, default):
+        """The flag named ``key``, else ``[section] key`` read as the type of
+        ``default``, else ``default``."""
         flag = getattr(self.args, key, None)
         if flag is not None:
             return flag
-        if self.cfg.has_option(section, key):
+        if not self.cfg.has_option(section, key):
+            return default
+        cast = type(default)
+        try:
             return cast(self.cfg.get(section, key))
-        return DEFAULTS[(section, key)]
+        except (ValueError, configparser.Error) as exc:
+            raise ConfigError(
+                f"config [{section}] {key}: expected {cast.__name__}") from exc
+
+    @property
+    def seed(self) -> int:
+        return self.get("data", "seed", DatasetConfig.seed)
+
+    def train_config(self, section: str, stage: TrainConfig,
+                     lr_key: str = "learning_rate",
+                     iterations_key: str = "iterations") -> TrainConfig:
+        """``stage`` with each schedule value overridden by its flag or
+        ``[section]`` key, and the ``[data]`` seed."""
+        return TrainConfig(
+            learning_rate=self.get(section, lr_key, stage.learning_rate),
+            iterations=self.get(section, iterations_key, stage.iterations),
+            batch_size=self.get(section, "batch_size", stage.batch_size),
+            seed=self.seed,
+        )
+
+    def weight_fn(self, strategy: str, model, router, manual_s=None) -> harness.WeightFn:
+        return harness.strategy_weight_fn(strategy, model, router,
+                                          k=self.get("eval", "k", 1),
+                                          seed=self.seed, manual_s=manual_s)
 
 
-def _parse_weights(text: str) -> np.ndarray:
+def _parse_list(text: str, cast, what: str) -> list:
     try:
-        return np.asarray([float(v) for v in text.split(",")], dtype=np.float32)
+        return [cast(v) for v in text.split(",")]
     except ValueError as exc:
-        raise ConfigError(f"cannot parse weight vector {text!r}") from exc
+        raise ConfigError(f"cannot parse {what} {text!r}") from exc
 
 
 def _emit(lines: list[str], out_path: str | None) -> None:
@@ -85,13 +103,8 @@ def _emit(lines: list[str], out_path: str | None) -> None:
 
 def cmd_gen_data(args) -> int:
     opt = _Options(args)
-    config = DatasetConfig(
-        seed=opt.get("data", "seed"),
-        train_per_task=opt.get("data", "train_per_task"),
-        test_per_task=opt.get("data", "test_per_task"),
-        mixed_pairs=opt.get("data", "mixed_pairs"),
-        patch=opt.get("data", "patch"),
-    )
+    keys = ("seed", "train_per_task", "test_per_task", "mixed_pairs", "patch")
+    config = DatasetConfig(**{k: opt.get("data", k, getattr(DatasetConfig, k)) for k in keys})
     manifests = make_dataset(config, args.out)
     for split in ("train", "test", "mixed"):
         m = manifests[split]
@@ -103,13 +116,9 @@ def cmd_gen_data(args) -> int:
 def cmd_pretrain_base(args) -> int:
     opt = _Options(args)
     manifest = load_manifest(args.data)
-    model = build_model(manifest.labels, seed=opt.get("data", "seed"))
-    config = TrainConfig(
-        learning_rate=opt.get("train", "pretrain_learning_rate", float),
-        iterations=opt.get("train", "pretrain_iterations"),
-        batch_size=opt.get("train", "batch_size"),
-        seed=opt.get("data", "seed"),
-    )
+    model = build_model(manifest.labels, seed=opt.seed)
+    config = opt.train_config("train", harness.PRETRAIN,
+                              "pretrain_learning_rate", "pretrain_iterations")
     pretrain_base(model, harness.clean_training_images(manifest), config)
     persist.save_model(args.out, model)
     print(f"saved base model ({len(manifest.labels)} tasks) to {args.out}")
@@ -121,12 +130,7 @@ def cmd_train_lora(args) -> int:
     model = persist.load_model(args.ckpt)
     manifest = load_manifest(args.data)
     targets = list(model.labels) if args.task == "all" else [args.task]
-    config = TrainConfig(
-        learning_rate=opt.get("train", "learning_rate", float),
-        iterations=opt.get("train", "lora_iterations"),
-        batch_size=opt.get("train", "batch_size"),
-        seed=opt.get("data", "seed"),
-    )
+    config = opt.train_config("train", TrainConfig(), iterations_key="lora_iterations")
     for label in targets:
         if label not in model.labels:
             raise ConfigError(f"task {label!r} is not in the checkpoint labels")
@@ -145,14 +149,9 @@ def cmd_train_router(args) -> int:
     manifest = load_manifest(args.data)
     first_image = read_ppm(manifest.tasks[0].pairs[0][1])
     patch = (first_image.dims[1], first_image.dims[2])
-    state = build_router(manifest.labels, seed=opt.get("data", "seed"), patch=patch)
-    config = TrainConfig(
-        learning_rate=opt.get("router", "learning_rate", float),
-        iterations=opt.get("router", "iterations"),
-        batch_size=opt.get("router", "batch_size"),
-        seed=opt.get("data", "seed"),
-    )
-    train_router(state, harness.router_training_set(manifest), config)
+    state = build_router(manifest.labels, seed=opt.seed, patch=patch)
+    train_router(state, harness.router_training_set(manifest),
+                 opt.train_config("router", harness.ROUTER))
     persist.save_router(args.out, state)
     print(f"saved router ({len(state.labels)} types) to {args.out}")
     if args.eval_data:
@@ -176,7 +175,7 @@ def cmd_restore(args) -> int:
     else:
         if not args.s:
             raise ConfigError("provide --s weights or --auto")
-        restored = restore(model, image, _parse_weights(args.s))
+        restored = restore(model, image, _parse_list(args.s, float, "weight vector"))
     write_ppm(args.output, restored)
     print(f"wrote {args.output}")
     return 0
@@ -198,13 +197,9 @@ def cmd_eval(args) -> int:
     model = persist.load_model(args.ckpt)
     manifest = load_manifest(args.data)
     router = persist.load_router(args.router) if args.router else None
-    if router is not None and router.labels != model.labels:
-        raise ConfigError("router and model label order disagree")
     strategy = args.strategy or ("topk" if router is not None else "oracle")
-    manual = _parse_weights(args.s) if args.s else None
-    fn = harness.strategy_weight_fn(strategy, model, router,
-                                    k=opt.get("eval", "k"),
-                                    seed=opt.get("data", "seed"), manual_s=manual)
+    manual = _parse_list(args.s, float, "weight vector") if args.s else None
+    fn = opt.weight_fn(strategy, model, router, manual)
     results = harness.evaluate_restoration(model, manifest, fn)
     lines, rows = _eval_lines(results)
     _emit(lines, args.out)
@@ -214,17 +209,15 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate_routing(args) -> int:
     opt = _Options(args)
+    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
+    if not strategies:
+        raise ConfigError(f"--strategies {args.strategies!r} names no strategy")
     model = persist.load_model(args.ckpt)
     router = persist.load_router(args.router)
-    if router.labels != model.labels:
-        raise ConfigError("router and model label order disagree")
     manifest = load_manifest(args.data)
-    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     lines, rows = [], []
     for strategy in strategies:
-        fn = harness.strategy_weight_fn(strategy, model, router,
-                                        k=opt.get("eval", "k"),
-                                        seed=opt.get("data", "seed"))
+        fn = opt.weight_fn(strategy, model, router)
         results = harness.evaluate_restoration(model, manifest, fn, with_baseline=False)
         s_lines, s_rows = _eval_lines(results, prefix=f"{strategy}/")
         lines.extend(s_lines)
@@ -245,17 +238,12 @@ def cmd_sweep_rank(args) -> int:
         raise ConfigError(f"task {label!r} is not in the checkpoint labels")
     k = base.labels.index(label)
     task = harness.load_task_data(manifest, label)
-    ranks = [int(v) for v in args.ranks.split(",")]
-    seed = opt.get("data", "seed")
-    config = TrainConfig(
-        learning_rate=opt.get("train", "learning_rate", float),
-        iterations=args.iterations,
-        batch_size=opt.get("train", "batch_size"),
-        seed=seed,
-    )
+    ranks = _parse_list(args.ranks, int, "rank list")
+    # --iterations always has a value here (default 400), so no file key is read for it
+    config = opt.train_config("train", TrainConfig())
     lines = [f"# rank sweep on {label!r}, {config.iterations} iterations"]
     for rank in ranks:
-        model = build_model(base.labels, seed=seed, ranks=rank)
+        model = build_model(base.labels, seed=config.seed, ranks=rank)
         for name in model.layers:
             model.layers[name].base_weight = base.layers[name].base_weight.copy()
             model.layers[name].base_bias = base.layers[name].base_bias.copy()

@@ -1,4 +1,4 @@
-"""Evaluation machinery shared by the CLI and the acceptance suite."""
+"""Stage defaults and evaluation machinery shared by the CLI and the tests."""
 
 from __future__ import annotations
 
@@ -11,9 +11,15 @@ from .degradations import DatasetManifest, read_ppm
 from .errors import ConfigError
 from .metrics import MetricReport, psnr, ssim
 from .numerics import DTYPE, Tensor
-from .restorer import RestorerModel, TaskData, restore
+from .restorer import RestorerModel, TaskData, TrainConfig, restore
 from .router import RouterState, encode_degradation, predict_with_crop_correction, \
     resize_bilinear, similarity
+
+# pretraining and router schedules; TrainConfig() is the expert
+# stage, a 40x scale-down of an 80K-iteration recipe whose hotter learning
+# rate compensates for the shorter schedule
+PRETRAIN = TrainConfig(learning_rate=2e-3, iterations=4000)
+ROUTER = TrainConfig(iterations=6000, batch_size=16)
 
 
 def load_task_data(manifest: DatasetManifest, label: str) -> TaskData:
@@ -43,7 +49,10 @@ def strategy_weight_fn(strategy: str, model: RestorerModel,
     random: one expert one-hot, drawn per image. average: uniform over all
     experts. top1/top2/topk/all: router similarity with the given K.
     oracle: one-hot at the image's true task. manual: a fixed user vector.
+    A router whose label order differs from the model's is rejected.
     """
+    if router is not None and router.labels != model.labels:
+        raise ConfigError("router and model label order disagree")
     t = model.t
 
     if strategy == "average":

@@ -517,7 +517,7 @@ def finite_difference_check(f, params: Tensor, eps: float = 1e-3) -> float:
 class Adam:
     """Adam with in-place float32 updates; one instance per parameter set."""
 
-    def __init__(self, params: Sequence[Tensor], lr: float = 2e-4,
+    def __init__(self, params: Sequence[Tensor], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = list(params)
         self.lr = float(lr)

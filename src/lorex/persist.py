@@ -18,7 +18,7 @@ from .errors import CheckpointError
 from .lora import AdaptedLayer, LoraAdapter
 from .numerics import DTYPE, Tensor
 from .restorer import ARCH, KERNEL, LAYER_NAMES, RestorerModel
-from .router import RouterState
+from .router import RouterState, encoder_param_dims
 
 
 def model_header(model: RestorerModel) -> CheckpointHeader:
@@ -104,6 +104,19 @@ def router_from_checkpoint(header: CheckpointHeader,
         patch_t = tensors["router.patch"]
     except KeyError as exc:
         raise CheckpointError("checkpoint is missing router bank or patch") from exc
+    if patch_t.dims != (2,) or (patch_t.data < 1).any() or (patch_t.data % 1).any():
+        raise CheckpointError(
+            f"router.patch must be two positive integers, got {patch_t.data.tolist()}")
+    if bank.data.ndim != 2:
+        raise CheckpointError(f"router.bank must be 2-D, got dims {bank.dims}")
+    expected = encoder_param_dims(bank.dims[0])
+    if set(params) != set(expected):
+        raise CheckpointError(f"router encoder tensors {sorted(params)} do not match "
+                              f"the expected {sorted(expected)}")
+    for name, dims in expected.items():
+        if params[name].dims != dims:
+            raise CheckpointError(
+                f"router.{name} has dims {params[name].dims}, expected {dims}")
     patch = (int(patch_t.data[0]), int(patch_t.data[1]))
     return RouterState(params=params, bank=bank, labels=header.labels, patch=patch)
 

@@ -12,6 +12,7 @@ weights supplied manually or by the router.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -57,14 +58,16 @@ DEFAULT_RANKS = {"enc1": 4, "enc2": 4, "enc3": 4, "bot1": 8, "bot2": 8,
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 2e-4
+    """One training stage's schedule; the defaults are the expert stage's."""
+
+    learning_rate: float = 1e-3
     iterations: int = 2000
     batch_size: int = 8
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not math.isfinite(self.learning_rate) or self.learning_rate <= 0:
+            raise ConfigError("learning_rate must be finite and positive")
         if self.iterations < 0:
             raise ConfigError("iterations must be >= 0")
         if self.batch_size < 1:
@@ -319,10 +322,3 @@ class AdapterTrainer:
         for _ in range(self.config.iterations):
             self.step()
         return self
-
-
-def train_lora_for(model: RestorerModel, k: int, task: TaskData,
-                   config: TrainConfig) -> RestorerModel:
-    """Train adapter set k on its own task; everything else is untouched."""
-    AdapterTrainer(model, k, task, config).run()
-    return model

@@ -94,6 +94,17 @@ def normalize_bank(bank: Tensor) -> None:
     bank.data /= np.maximum(norms, DTYPE(1e-12))
 
 
+def encoder_param_dims(z: int) -> dict[str, tuple[int, ...]]:
+    """Name -> dims of every encoder parameter ``build_router`` makes for
+    latent width ``z``."""
+    channels = ENCODER_CHANNELS[:-1] + (z,)
+    dims: dict[str, tuple[int, ...]] = {}
+    for i, (cin, cout) in enumerate(zip(channels, channels[1:]), 1):
+        dims[f"conv{i}.weight"] = (cout, cin, ENCODER_KERNEL, ENCODER_KERNEL)
+        dims[f"conv{i}.bias"] = (cout,)
+    return dims
+
+
 def build_router(labels, seed: int, z: int = LATENT_WIDTH,
                  patch: tuple[int, int] = (32, 32)) -> RouterState:
     """Seeded fresh router; encoder He-uniform, bank random unit columns."""

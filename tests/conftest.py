@@ -8,22 +8,19 @@ budgets.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lorex import persist
 from lorex.degradations import DatasetConfig, make_dataset
-from lorex.harness import clean_training_images, load_task_data, router_training_set
-from lorex.restorer import TrainConfig, build_model, pretrain_base, train_lora_for
+from lorex.harness import PRETRAIN, ROUTER, clean_training_images, load_task_data, \
+    router_training_set
+from lorex.restorer import AdapterTrainer, TrainConfig, build_model, pretrain_base
 from lorex.router import build_router, train_router
 
 MASTER_SEED = 7
-PRETRAIN_CONFIG = dict(learning_rate=2e-3, iterations=4000, batch_size=8)
-# expert training keeps the default 2000-iteration budget; the learning
-# rate compensates for the 40x schedule scale-down vs full scale
-LORA_CONFIG = dict(learning_rate=1e-3, iterations=2000, batch_size=8)
-ROUTER_CONFIG = dict(learning_rate=1e-3, iterations=6000, batch_size=16)
 
 
 @pytest.fixture
@@ -54,7 +51,7 @@ def base_model_path(workspace, dataset, timings):
     t0 = time.time()
     model = build_model(dataset["train"].labels, seed=MASTER_SEED)
     pretrain_base(model, clean_training_images(dataset["train"]),
-                  TrainConfig(seed=MASTER_SEED, **PRETRAIN_CONFIG))
+                  replace(PRETRAIN, seed=MASTER_SEED))
     path = workspace / "base.uirl"
     persist.save_model(path, model)
     timings["pretrain"] = time.time() - t0
@@ -67,7 +64,7 @@ def trained_model_path(workspace, dataset, base_model_path, timings):
     model = persist.load_model(base_model_path)
     for k, label in enumerate(model.labels):
         task = load_task_data(dataset["train"], label)
-        train_lora_for(model, k, task, TrainConfig(seed=MASTER_SEED, **LORA_CONFIG))
+        AdapterTrainer(model, k, task, TrainConfig(seed=MASTER_SEED)).run()
     path = workspace / "trained.uirl"
     persist.save_model(path, model)
     timings["train_lora_all"] = time.time() - t0
@@ -84,7 +81,7 @@ def trained_router(workspace, dataset, timings):
     t0 = time.time()
     state = build_router(dataset["train"].labels, seed=MASTER_SEED)
     train_router(state, router_training_set(dataset["train"]),
-                 TrainConfig(seed=MASTER_SEED, **ROUTER_CONFIG))
+                 replace(ROUTER, seed=MASTER_SEED))
     persist.save_router(workspace / "router.uirl", state)
     timings["train_router"] = time.time() - t0
     return state

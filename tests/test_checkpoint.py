@@ -13,7 +13,7 @@ from lorex.checkpoint import (
 from lorex.errors import CheckpointError, ConfigError
 from lorex.numerics import Tensor
 from lorex.restorer import build_model, restore, restore_auto
-from lorex.router import build_router
+from lorex.router import build_router, encoder_param_dims
 
 
 @pytest.fixture
@@ -180,3 +180,35 @@ class TestRouterPersistence:
         persist.save_model(tmp_path / "m.uirl", model)
         with pytest.raises(CheckpointError):
             persist.load_router(tmp_path / "m.uirl")
+
+    def test_encoder_dims_are_the_built_ones(self):
+        for z in (32, 8):
+            state = build_router(("a", "b"), seed=1, z=z)
+            assert encoder_param_dims(z) == {k: t.dims for k, t in state.params.items()}
+
+    @pytest.mark.parametrize("name,value", [
+        ("router.patch", [32.0]),
+        ("router.patch", [32.0, 32.0, 32.0]),
+        ("router.patch", [0.0, 32.0]),
+        ("router.patch", [32.5, 32.0]),
+        ("router.conv0.weight", np.zeros((16, 3, 3, 3))),
+        ("router.conv4.bias", np.zeros(32)),
+        ("router.conv1.weight", np.zeros((16, 3, 5, 5))),
+        ("router.conv3.bias", np.zeros(16)),
+        ("router.bank", np.ones(2) / np.sqrt(2)),
+        ("router.conv3.weight", None),
+        ("router.conv1.bias", None),
+        ("router.bank", None),
+        ("router.patch", None),
+    ], ids=["patch-one-value", "patch-three-values", "patch-zero", "patch-fraction",
+            "extra-conv0", "extra-conv4", "conv1-kernel-5", "conv3-bias-width",
+            "bank-1d", "no-conv3-weight", "no-conv1-bias", "no-bank", "no-patch"])
+    def test_malformed_router_tensors_rejected(self, tmp_path, name, value):
+        tensors = persist.router_tensors(build_router(("a", "b"), seed=9))
+        if value is None:
+            del tensors[name]
+        else:
+            tensors[name] = Tensor(np.asarray(value, np.float32))
+        save_checkpoint(tmp_path / "r.uirl", CheckpointHeader(labels=("a", "b")), tensors)
+        with pytest.raises(CheckpointError):
+            persist.load_router(tmp_path / "r.uirl")

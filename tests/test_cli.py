@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +12,14 @@ import pytest
 
 import lorex
 from lorex import persist
+from lorex.checkpoint import load_checkpoint, save_checkpoint
 from lorex.cli import main
-from lorex.degradations import read_ppm, write_ppm
+from lorex.degradations import load_manifest, read_ppm, write_ppm
+from lorex.harness import PRETRAIN, ROUTER, clean_training_images, load_task_data, \
+    router_training_set
 from lorex.numerics import Tensor
-from lorex.restorer import build_model
-from lorex.router import predict_with_crop_correction
+from lorex.restorer import AdapterTrainer, TrainConfig, build_model, pretrain_base
+from lorex.router import build_router, predict_with_crop_correction, train_router
 
 
 def tree_digest(root: Path) -> str:
@@ -29,6 +33,19 @@ def tree_digest(root: Path) -> str:
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def run_in_subprocess(*argv) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter, so an escaping exception shows as a traceback."""
+    env = dict(os.environ, PYTHONPATH=str(Path(lorex.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "lorex.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def assert_one_error_line(stderr: str) -> None:
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), stderr
+    assert "Traceback" not in stderr
 
 
 @pytest.fixture(scope="module")
@@ -98,15 +115,26 @@ class TestExitCodes:
         ckpt.write_bytes(bytes(blob))
         img = tmp_path / "x.ppm"
         write_ppm(img, Tensor(np.zeros((3, 32, 32), np.float32)))
-        env = dict(os.environ, PYTHONPATH=str(Path(lorex.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "lorex.cli", "restore", "--ckpt", str(ckpt),
-             "--input", str(img), "--output", str(tmp_path / "y.ppm"), "--s", "1,0"],
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = run_in_subprocess("restore", "--ckpt", ckpt, "--input", img,
+                                 "--output", tmp_path / "y.ppm", "--s", "1,0")
         assert proc.returncode == 1
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert_one_error_line(proc.stderr)
+
+    @pytest.mark.parametrize("name,value", [
+        ("router.patch", [32.0]),
+        ("router.conv0.weight", np.zeros((16, 3, 3, 3))),
+    ], ids=["patch-one-value", "extra-conv0"])
+    def test_malformed_router_is_1_without_traceback(self, mini, tmp_path, name, value):
+        header, tensors = load_checkpoint(mini["router"])
+        tensors[name] = Tensor(np.asarray(value, np.float32))
+        router = tmp_path / "r.uirl"
+        save_checkpoint(router, header, tensors)
+        img_path = next((mini["data"] / "test").rglob("*_degraded.ppm"))
+        proc = run_in_subprocess("restore", "--ckpt", mini["base"], "--input", img_path,
+                                 "--output", tmp_path / "y.ppm", "--auto",
+                                 "--router", router)
+        assert proc.returncode == 1
+        assert_one_error_line(proc.stderr)
 
     def test_invalid_weights_is_1(self, mini, tmp_path, capsys):
         img = tmp_path / "x.ppm"
@@ -118,6 +146,30 @@ class TestExitCodes:
     def test_bad_config_file_is_1(self, tmp_path):
         assert run("gen-data", "--out", tmp_path / "x",
                    "--config", tmp_path / "none.ini") == 1
+
+    @pytest.mark.parametrize("text", [
+        "[data]\ntrain_per_task = abc\n",
+        "[data]\nseed = 1.5\n",
+        "train_per_task = 3\n",
+    ], ids=["not-a-number", "float-for-int", "no-section-header"])
+    def test_malformed_config_file_is_1(self, tmp_path, capsys, text):
+        cfg = tmp_path / "lorex.ini"
+        cfg.write_text(text)
+        assert run("gen-data", "--out", tmp_path / "x", "--config", cfg) == 1
+        assert_one_error_line(capsys.readouterr().err)
+
+    def test_unparseable_rank_list_is_1(self, mini, tmp_path, capsys):
+        assert run("sweep-rank", "--data", mini["data"] / "train.manifest",
+                   "--ckpt", mini["base"], "--ranks", "2,x", "--iterations", "1",
+                   "--out", tmp_path / "sweep.tsv") == 1
+        assert_one_error_line(capsys.readouterr().err)
+
+    def test_empty_strategy_list_is_1(self, mini, tmp_path, capsys):
+        assert run("ablate-routing", "--data", mini["data"] / "test.manifest",
+                   "--ckpt", mini["base"], "--router", mini["router"],
+                   "--strategies", ",", "--out", tmp_path / "ablate.tsv") == 1
+        assert_one_error_line(capsys.readouterr().err)
+        assert not (tmp_path / "ablate.tsv").exists()
 
 
 class TestRestoreCommand:
@@ -236,3 +288,81 @@ class TestEvalCommands:
         assert params[0] < params[1]
         for row in rows:
             float(row[2])
+
+
+class TestStageDefaults:
+    """Each training command with only --iterations and --seed set trains
+    exactly what the library's stage default does; a config file key beats
+    that default, and a flag beats the config file."""
+
+    @staticmethod
+    def saved(tmp_path, save, obj) -> bytes:
+        path = tmp_path / "library.uirl"
+        save(path, obj)
+        return path.read_bytes()
+
+    def library_experts(self, mini, tmp_path, config, labels) -> bytes:
+        manifest = load_manifest(mini["data"] / "train.manifest")
+        model = persist.load_model(mini["base"])
+        for label in labels:
+            task = load_task_data(manifest, label)
+            AdapterTrainer(model, model.labels.index(label), task, config).run()
+        return self.saved(tmp_path, persist.save_model, model)
+
+    def library_router(self, mini, tmp_path, config) -> bytes:
+        manifest = load_manifest(mini["data"] / "train.manifest")
+        state = build_router(manifest.labels, seed=config.seed)
+        train_router(state, router_training_set(manifest), config)
+        return self.saved(tmp_path, persist.save_router, state)
+
+    def test_pretrain_base_default_is_library_pretrain(self, mini, tmp_path):
+        # mini["base"] is `pretrain-base --seed 3 --iterations 4`
+        manifest = load_manifest(mini["data"] / "train.manifest")
+        model = build_model(manifest.labels, seed=3)
+        pretrain_base(model, clean_training_images(manifest),
+                      replace(PRETRAIN, iterations=4, seed=3))
+        assert mini["base"].read_bytes() == self.saved(tmp_path, persist.save_model, model)
+
+    def test_train_lora_default_is_library_expert_stage(self, mini, tmp_path):
+        out = tmp_path / "experts.uirl"
+        assert run("train-lora", "--task", "all", "--data", mini["data"] / "train.manifest",
+                   "--ckpt", mini["base"], "--out", out,
+                   "--iterations", "2", "--seed", "3") == 0
+        labels = persist.load_model(out).labels
+        expected = self.library_experts(
+            mini, tmp_path, replace(TrainConfig(), iterations=2, seed=3), labels)
+        assert out.read_bytes() == expected
+
+    def test_train_router_default_is_library_router(self, mini, tmp_path):
+        # mini["router"] is `train-router --seed 3 --iterations 4`
+        expected = self.library_router(mini, tmp_path, replace(ROUTER, iterations=4, seed=3))
+        assert mini["router"].read_bytes() == expected
+
+    def test_train_section_then_flags(self, mini, tmp_path):
+        cfg = tmp_path / "lorex.ini"
+        cfg.write_text("[train]\nlearning_rate = 5e-3\nlora_iterations = 2\n")
+        expert = TrainConfig(seed=3)
+        for flags, config in [
+            ((), replace(expert, learning_rate=5e-3, iterations=2)),
+            (("--lr", "2e-2", "--iterations", "3"),
+             replace(expert, learning_rate=2e-2, iterations=3)),
+        ]:
+            out = tmp_path / "expert.uirl"
+            assert run("train-lora", "--task", "gaussian_blur",
+                       "--data", mini["data"] / "train.manifest", "--ckpt", mini["base"],
+                       "--out", out, "--seed", "3", "--config", cfg, *flags) == 0
+            expected = self.library_experts(mini, tmp_path, config, ["gaussian_blur"])
+            assert out.read_bytes() == expected, flags
+
+    def test_router_section_then_flags(self, mini, tmp_path):
+        cfg = tmp_path / "lorex.ini"
+        cfg.write_text("[router]\nbatch_size = 3\niterations = 2\n")
+        for flags, config in [
+            ((), replace(ROUTER, batch_size=3, iterations=2, seed=3)),
+            (("--batch-size", "5", "--iterations", "3"),
+             replace(ROUTER, batch_size=5, iterations=3, seed=3)),
+        ]:
+            out = tmp_path / "router.uirl"
+            assert run("train-router", "--data", mini["data"] / "train.manifest",
+                       "--out", out, "--seed", "3", "--config", cfg, *flags) == 0
+            assert out.read_bytes() == self.library_router(mini, tmp_path, config), flags

@@ -415,5 +415,5 @@ class TestAdamAndSchedule:
         assert cosine_lr(1.0, 0, 100) == pytest.approx(1.0)
         assert cosine_lr(1.0, 50, 100) == pytest.approx(0.5)
         assert cosine_lr(1.0, 100, 100) == pytest.approx(0.0, abs=1e-12)
-        values = [cosine_lr(2e-4, t, 10) for t in range(10)]
+        values = [cosine_lr(1e-3, t, 10) for t in range(10)]
         assert all(a >= b for a, b in zip(values, values[1:]))

@@ -18,7 +18,6 @@ from lorex.restorer import (
     pretrain_base,
     restore,
     restore_auto,
-    train_lora_for,
 )
 from lorex.router import build_router
 
@@ -148,6 +147,14 @@ class TestMergedEquivalence:
         assert persist.base_digest(model) == digest
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1e-3])
+    def test_rejects_non_finite_or_non_positive_lr(self, lr):
+        # a NaN lr would otherwise pass and fail only at the first loss
+        with pytest.raises(ConfigError, match="learning_rate"):
+            TrainConfig(learning_rate=lr)
+
+
 class TestPretrainBase:
     def test_zero_iterations_unchanged(self, rng):
         model = build_model(LABELS, seed=4)
@@ -195,7 +202,8 @@ class TestTrainLora:
         base_digest = persist.base_digest(model)
         others_before = [persist.adapter_digest(model, j) for j in range(3)]
         task = random_task(rng, "t1")
-        train_lora_for(model, 1, task, TrainConfig(iterations=5, batch_size=4, seed=2))
+        AdapterTrainer(model, 1, task,
+                       TrainConfig(iterations=5, batch_size=4, seed=2)).run()
         assert persist.base_digest(model) == base_digest
         assert persist.adapter_digest(model, 0) == others_before[0]
         assert persist.adapter_digest(model, 2) == others_before[2]
@@ -204,14 +212,14 @@ class TestTrainLora:
     def test_zero_iterations_unchanged(self, rng):
         model = build_model(LABELS, seed=5)
         before = [persist.adapter_digest(model, j) for j in range(3)]
-        train_lora_for(model, 0, random_task(rng, "t0"),
-                       TrainConfig(iterations=0, seed=2))
+        AdapterTrainer(model, 0, random_task(rng, "t0"),
+                       TrainConfig(iterations=0, seed=2)).run()
         assert [persist.adapter_digest(model, j) for j in range(3)] == before
 
     def test_foreign_label_rejected(self, rng):
         model = build_model(LABELS, seed=5)
         with pytest.raises(DataError):
-            train_lora_for(model, 0, random_task(rng, "t1"),
+            AdapterTrainer(model, 0, random_task(rng, "t1"),
                            TrainConfig(iterations=1, seed=2))
 
     def test_bad_task_index(self, rng):
@@ -225,7 +233,7 @@ class TestTrainLora:
 
         seq = build_model(LABELS, seed=5)
         for k in range(3):
-            train_lora_for(seq, k, tasks[k], config)
+            AdapterTrainer(seq, k, tasks[k], config).run()
 
         inter = build_model(LABELS, seed=5)
         trainers = [AdapterTrainer(inter, k, tasks[k], config) for k in range(3)]
@@ -242,7 +250,7 @@ class TestTrainLora:
         digests = []
         for _ in range(2):
             model = build_model(LABELS, seed=5)
-            train_lora_for(model, 0, task, config)
+            AdapterTrainer(model, 0, task, config).run()
             digests.append(persist.adapter_digest(model, 0))
         assert digests[0] == digests[1]
 
