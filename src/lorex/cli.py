@@ -169,7 +169,7 @@ def cmd_restore(args) -> int:
         if not args.router:
             raise ConfigError("--auto requires --router")
         router = persist.load_router(args.router)
-        restored, routed = restore_auto(model, router, image, args.k or 1)
+        restored, routed = restore_auto(model, router, image, 1 if args.k is None else args.k)
         weights = ",".join(f"{v:.4f}" for v in routed.s)
         print(f"routed weights: {weights} (K={routed.k})")
     else:
@@ -239,6 +239,8 @@ def cmd_sweep_rank(args) -> int:
     k = base.labels.index(label)
     task = harness.load_task_data(manifest, label)
     ranks = _parse_list(args.ranks, int, "rank list")
+    if min(ranks) < 1:
+        raise ConfigError(f"ranks must be >= 1, got {args.ranks!r}")
     # --iterations always has a value here (default 400), so no file key is read for it
     config = opt.train_config("train", TrainConfig())
     lines = [f"# rank sweep on {label!r}, {config.iterations} iterations"]

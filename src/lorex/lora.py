@@ -1,15 +1,15 @@
 """Low-rank adapter algebra.
 
-An adapter is a pair of factors (b, a) whose product is a strictly low-rank
-delta on one frozen base weight. A layer carries one adapter per task and
-composes them by *merged weights*: the weighted deltas are added onto the
-base weight and the layer runs one plain forward on the sum. Per-layer
-linearity in the weight makes this equal, up to float reassociation, to
-*output aggregation* (the base path plus each active adapter path scaled
-by its composition weight), which ``aggregated_forward`` keeps as the
-reference the tests compare against. With a gradient tape the merge is
-built from taped ops, so the factors get their gradients through the
-merged weight's gradient by the chain rule.
+An adapter is a pair of factors (b, a) whose plain product b @ a is a
+strictly low-rank delta on one frozen base weight. A layer carries one
+adapter per task and composes them by *merged weights*: the weighted deltas
+are added onto the base weight and the layer runs one plain forward on the
+sum. Per-layer linearity in the weight makes this equal, up to float
+reassociation, to *output aggregation* (the base path plus each active
+adapter path times its composition weight), which ``aggregated_forward``
+keeps as the reference the tests compare against. With a gradient tape the
+merge is built from taped ops, so the factors get their gradients through
+the merged weight's gradient by the chain rule.
 """
 
 from __future__ import annotations
@@ -41,13 +41,12 @@ class LoraAdapter:
 
     ``b`` is (n, r) and zero at construction so a fresh adapter contributes
     exactly nothing; ``a`` is (r, m), seeded uniform on [-1/sqrt(m), 1/sqrt(m)].
-    ``scale`` multiplies the delta b @ a.
+    The delta is the plain product b @ a.
     """
 
     b: Tensor
     a: Tensor
     rank: int
-    scale: float = 1.0
 
     def __post_init__(self):
         if self.b.data.ndim != 2 or self.a.data.ndim != 2:
@@ -58,17 +57,14 @@ class LoraAdapter:
             raise ShapeError(f"factor ranks disagree: b {self.b.dims}, a {self.a.dims}, rank {self.rank}")
         if not 1 <= self.rank < min(n, m):
             raise ConfigError(f"rank must satisfy 1 <= r < min(n,m)={min(n, m)}, got {self.rank}")
-        if not math.isfinite(self.scale):
-            raise NumericError("adapter scale must be finite")
 
     @classmethod
-    def create(cls, n: int, m: int, rank: int, rng: np.random.Generator,
-               scale: float = 1.0) -> "LoraAdapter":
+    def create(cls, n: int, m: int, rank: int, rng: np.random.Generator) -> "LoraAdapter":
         if not 1 <= rank < min(n, m):
             raise ConfigError(f"rank must satisfy 1 <= r < min(n,m)={min(n, m)}, got {rank}")
         bound = 1.0 / math.sqrt(m)
         a = rng.uniform(-bound, bound, size=(rank, m)).astype(DTYPE)
-        return cls(b=Tensor.zeros((n, rank)), a=Tensor(a), rank=rank, scale=scale)
+        return cls(b=Tensor.zeros((n, rank)), a=Tensor(a), rank=rank)
 
     @property
     def out_dim(self) -> int:
@@ -121,8 +117,8 @@ class AdaptedLayer:
 
 
 def lora_delta(adapter: LoraAdapter) -> Tensor:
-    """The dense delta scale * (b @ a)."""
-    return scale(matmul(adapter.b, adapter.a), adapter.scale)
+    """The dense delta b @ a."""
+    return matmul(adapter.b, adapter.a)
 
 
 def _active(layer: AdaptedLayer, s, tape: GradTape | None) -> list[tuple[float, LoraAdapter]]:
@@ -143,7 +139,7 @@ def _merge(layer: AdaptedLayer, active) -> np.ndarray:
     acc = layer.base_weight.data.copy()
     flat = acc.reshape(layer.flat_dims)
     for si, adapter in active:
-        flat += DTYPE(si * adapter.scale) * (adapter.b.data @ adapter.a.data)
+        flat += DTYPE(si) * (adapter.b.data @ adapter.a.data)
     return acc
 
 
@@ -175,24 +171,23 @@ def adapted_forward(layer: AdaptedLayer, x: Tensor, s, tape: GradTape | None = N
         return _base_forward(layer, x, None, Tensor._wrap(_merge(layer, active)))
     weight = layer.base_weight
     for si, adapter in active:
-        delta = scale(matmul(adapter.b, adapter.a, tape), si * adapter.scale, tape)
+        delta = scale(matmul(adapter.b, adapter.a, tape), si, tape)
         weight = add(weight, reshape(delta, weight.dims, tape), tape)
     return _base_forward(layer, x, tape, weight)
 
 
 def _delta_forward(layer: AdaptedLayer, adapter: LoraAdapter, x: Tensor,
                    weight: float, tape: GradTape | None) -> Tensor:
-    factor = weight * adapter.scale
     if layer.kind == "linear":
         h = matmul(x, transpose2d(adapter.a, tape), tape)
         h = matmul(h, transpose2d(adapter.b, tape), tape)
-        return scale(h, factor, tape)
+        return scale(h, weight, tape)
     co, ci, kh, kw = layer.base_weight.dims
     ka = reshape(adapter.a, (adapter.rank, ci, kh, kw), tape)
     h = conv2d(x, ka, layer.padding, layer.stride, tape)
     kb = reshape(adapter.b, (co, adapter.rank, 1, 1), tape)
     h = conv2d(h, kb, "same", 1, tape)
-    return scale(h, factor, tape)
+    return scale(h, weight, tape)
 
 
 def aggregated_forward(layer: AdaptedLayer, x: Tensor, s,

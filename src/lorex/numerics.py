@@ -57,13 +57,6 @@ class Tensor:
     def zeros(cls, dims) -> "Tensor":
         return cls._wrap(np.zeros(dims, DTYPE))
 
-    @classmethod
-    def full(cls, dims, value: float) -> "Tensor":
-        t = cls._wrap(np.full(dims, value, DTYPE))
-        if not np.all(np.isfinite(t.data)):
-            raise NumericError("tensor contains non-finite values")
-        return t
-
     @property
     def dims(self) -> tuple[int, ...]:
         return self.data.shape
@@ -104,15 +97,12 @@ class GradTape:
     def record(self, out: Tensor, pulls: _Pulls) -> None:
         self._records.append((out, pulls))
 
-    def clear(self) -> None:
-        self._records.clear()
-
     def gradients(self, output: Tensor, params: Sequence[Tensor]) -> list[np.ndarray]:
         """Gradients of a scalar output w.r.t. each param, in param order.
 
         Records are replayed in exact reverse order of forward execution.
         Pulls for tensors that cannot reach any param are skipped; params
-        absent from the tape (or a cleared tape) get zero gradients.
+        absent from the tape get zero gradients.
         """
         if output.size != 1:
             raise ShapeError("gradients() requires a scalar output")
@@ -199,7 +189,7 @@ def conv2d(x: Tensor, kernel: Tensor, padding: str = "same", stride: int = 1,
            tape: GradTape | None = None) -> Tensor:
     """2-D cross-correlation (no kernel flip), zero padding.
 
-    ``x`` is (C,H,W) or (N,C,H,W); ``kernel`` is (C_out,C_in,k,k) with k odd.
+    ``x`` is (N,C,H,W); ``kernel`` is (C_out,C_in,k,k) with k odd.
     ``same`` pads symmetrically with (k-1)/2 zeros, so stride 1 preserves
     H and W and stride 2 halves even extents.
     """
@@ -212,30 +202,26 @@ def conv2d(x: Tensor, kernel: Tensor, padding: str = "same", stride: int = 1,
     k = kernel.dims[2]
     if k % 2 == 0:
         raise ConfigError(f"kernel size must be odd, got {k}")
-    squeeze = x.data.ndim == 3
-    x4 = x.data[None] if squeeze else x.data
-    if x4.ndim != 4:
-        raise ShapeError(f"input must be (C,H,W) or (N,C,H,W), got {x.dims}")
-    n, c, h, w = x4.shape
+    if x.data.ndim != 4:
+        raise ShapeError(f"input must be (N,C,H,W), got {x.dims}")
+    n, c, h, w = x.dims
     if c != kernel.dims[1]:
         raise ShapeError(f"input has {c} channels, kernel expects {kernel.dims[1]}")
     if padding == "valid" and (h < k or w < k):
         raise ShapeError(f"input {h}x{w} smaller than kernel {k} under valid padding")
     pad = (k - 1) // 2 if padding == "same" else 0
 
-    cols, oh, ow = _im2col(x4, k, stride, pad)
+    cols, oh, ow = _im2col(x.data, k, stride, pad)
     co = kernel.dims[0]
     wmat = kernel.data.reshape(co, -1)
-    out4 = np.matmul(wmat, cols).reshape(n, co, oh, ow)
-    out = Tensor._wrap(out4[0] if squeeze else out4)
+    out = Tensor._wrap(np.matmul(wmat, cols).reshape(n, co, oh, ow))
     if tape is not None:
         def pull_x(g):
-            gmat = (g[None] if squeeze else g).reshape(n, co, oh * ow)
-            gx = _col2im(np.matmul(wmat.T, gmat), n, c, h, w, k, stride, pad, oh, ow)
-            return gx[0] if squeeze else gx
+            gmat = g.reshape(n, co, oh * ow)
+            return _col2im(np.matmul(wmat.T, gmat), n, c, h, w, k, stride, pad, oh, ow)
 
         def pull_w(g):
-            gmat = (g[None] if squeeze else g).reshape(n, co, oh * ow)
+            gmat = g.reshape(n, co, oh * ow)
             gw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0)
             return gw.reshape(kernel.dims)
 
@@ -273,18 +259,12 @@ def bias_add_rows(x: Tensor, bias: Tensor, tape: GradTape | None = None) -> Tens
 
 
 def bias_add(x: Tensor, bias: Tensor, tape: GradTape | None = None) -> Tensor:
-    """Add a per-channel bias to a (C,H,W) or (N,C,H,W) tensor."""
-    squeeze = x.data.ndim == 3
-    x4 = x.data[None] if squeeze else x.data
-    if bias.data.ndim != 1 or bias.dims[0] != x4.shape[1]:
-        raise ShapeError(f"bias dims {bias.dims} do not match {x4.shape[1]} channels")
-    out4 = x4 + bias.data[None, :, None, None]
-    out = Tensor._wrap(out4[0] if squeeze else out4)
+    """Add a per-channel bias to an (N,C,H,W) tensor."""
+    if x.data.ndim != 4 or bias.data.ndim != 1 or bias.dims[0] != x.dims[1]:
+        raise ShapeError(f"bias dims {bias.dims} do not match the channels of {x.dims}")
+    out = Tensor._wrap(x.data + bias.data[None, :, None, None])
     if tape is not None:
-        def pull_b(g):
-            g4 = g[None] if squeeze else g
-            return g4.sum(axis=(0, 2, 3))
-        tape.record(out, [(x, lambda g: g.copy()), (bias, pull_b)])
+        tape.record(out, [(x, lambda g: g.copy()), (bias, lambda g: g.sum(axis=(0, 2, 3)))])
     return out
 
 

@@ -14,11 +14,11 @@ import hashlib
 import numpy as np
 
 from .checkpoint import CheckpointHeader, load_checkpoint, save_checkpoint
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError, ShapeError
 from .lora import AdaptedLayer, LoraAdapter
 from .numerics import DTYPE, Tensor
 from .restorer import ARCH, KERNEL, LAYER_NAMES, RestorerModel
-from .router import RouterState, encoder_param_dims
+from .router import ENCODER_PARAM_DIMS, LATENT_WIDTH, RouterState
 
 
 def model_header(model: RestorerModel) -> CheckpointHeader:
@@ -54,23 +54,25 @@ def model_from_checkpoint(header: CheckpointHeader,
             bias = tensors[f"base.{name}.bias"]
         except KeyError as exc:
             raise CheckpointError(f"checkpoint is missing base layer {name!r}") from exc
-        if weight.dims != (cout, cin, KERNEL, KERNEL):
+        if weight.dims != (cout, cin, KERNEL, KERNEL) or bias.dims != (cout,):
             raise CheckpointError(
-                f"layer {name!r} has dims {weight.dims}, expected "
-                f"{(cout, cin, KERNEL, KERNEL)}")
-        adapters = []
-        if name in rank_by_layer:
-            rank = rank_by_layer[name]
-            for k in range(header.task_count):
-                try:
-                    up = tensors[f"adapter.{k}.{name}.up"]
-                    down = tensors[f"adapter.{k}.{name}.down"]
-                except KeyError as exc:
-                    raise CheckpointError(
-                        f"checkpoint is missing adapter {k} for layer {name!r}") from exc
-                adapters.append(LoraAdapter(b=up, a=down, rank=rank))
-        layers[name] = AdaptedLayer(kind="conv", base_weight=weight, base_bias=bias,
-                                    adapters=adapters, stride=stride, padding="same")
+                f"layer {name!r} has dims {weight.dims} and {bias.dims}, expected "
+                f"{(cout, cin, KERNEL, KERNEL)} and {(cout,)}")
+        factors = []
+        for k in range(header.task_count if name in rank_by_layer else 0):
+            try:
+                factors.append((tensors[f"adapter.{k}.{name}.up"],
+                                tensors[f"adapter.{k}.{name}.down"]))
+            except KeyError as exc:
+                raise CheckpointError(
+                    f"checkpoint is missing adapter {k} for layer {name!r}") from exc
+        try:
+            adapters = [LoraAdapter(b=up, a=down, rank=rank_by_layer[name])
+                        for up, down in factors]
+            layers[name] = AdaptedLayer(kind="conv", base_weight=weight, base_bias=bias,
+                                        adapters=adapters, stride=stride, padding="same")
+        except (ShapeError, ConfigError) as exc:
+            raise CheckpointError(f"adapters of layer {name!r} do not fit: {exc}") from exc
     return RestorerModel(layers=layers, labels=header.labels)
 
 
@@ -107,13 +109,13 @@ def router_from_checkpoint(header: CheckpointHeader,
     if patch_t.dims != (2,) or (patch_t.data < 1).any() or (patch_t.data % 1).any():
         raise CheckpointError(
             f"router.patch must be two positive integers, got {patch_t.data.tolist()}")
-    if bank.data.ndim != 2:
-        raise CheckpointError(f"router.bank must be 2-D, got dims {bank.dims}")
-    expected = encoder_param_dims(bank.dims[0])
-    if set(params) != set(expected):
+    if bank.data.ndim != 2 or bank.dims[0] != LATENT_WIDTH:
+        raise CheckpointError(
+            f"router.bank has dims {bank.dims}, expected ({LATENT_WIDTH}, task count)")
+    if set(params) != set(ENCODER_PARAM_DIMS):
         raise CheckpointError(f"router encoder tensors {sorted(params)} do not match "
-                              f"the expected {sorted(expected)}")
-    for name, dims in expected.items():
+                              f"the expected {sorted(ENCODER_PARAM_DIMS)}")
+    for name, dims in ENCODER_PARAM_DIMS.items():
         if params[name].dims != dims:
             raise CheckpointError(
                 f"router.{name} has dims {params[name].dims}, expected {dims}")

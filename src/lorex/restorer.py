@@ -118,20 +118,16 @@ def effective_rank(requested: int, n: int, m: int) -> int:
 
 
 def build_model(labels: Sequence[str], seed: int,
-                ranks: dict[str, int] | int | None = None,
+                ranks: int | None = None,
                 adapted: Sequence[str] | None = None) -> RestorerModel:
     """Fresh model: seeded base weights, zero-initialized adapters.
 
-    ``ranks`` is a per-layer map or a single value (default 4 outer / 8
-    bottleneck); ``adapted`` restricts which layers carry adapters (default
-    all of them).
+    ``ranks`` is one rank for every layer (default ``DEFAULT_RANKS``: 4
+    outer / 8 bottleneck); ``adapted`` restricts which layers carry adapters
+    (default all of them).
     """
     labels = tuple(labels)
-    if isinstance(ranks, int):
-        rank_map = {name: ranks for name in LAYER_NAMES}
-    else:
-        rank_map = dict(DEFAULT_RANKS)
-        rank_map.update(ranks or {})
+    rank_map = DEFAULT_RANKS if ranks is None else dict.fromkeys(LAYER_NAMES, ranks)
     adapted_set = set(LAYER_NAMES if adapted is None else adapted)
     unknown = adapted_set - set(LAYER_NAMES)
     if unknown:

@@ -42,6 +42,14 @@ ENCODER_CHANNELS = (3, 16, 32, 32)
 ENCODER_STRIDES = (1, 2, 2)
 ENCODER_KERNEL = 3
 LATENT_WIDTH = ENCODER_CHANNELS[-1]
+# name -> dims of every encoder parameter: the one layout build_router makes
+# and a router checkpoint must hold
+ENCODER_PARAM_DIMS: dict[str, tuple[int, ...]] = {
+    f"conv{i}.{part}": dims
+    for i, (cin, cout) in enumerate(zip(ENCODER_CHANNELS, ENCODER_CHANNELS[1:]), 1)
+    for part, dims in (("weight", (cout, cin, ENCODER_KERNEL, ENCODER_KERNEL)),
+                       ("bias", (cout,)))
+}
 # softmax temperature for router training; large enough that cross-entropy
 # keeps repelling wrong-class embeddings (their cosines end up negative,
 # which is what makes K=T routing match Top-1 after clamping)
@@ -52,8 +60,8 @@ TEMPERATURE = 0.3
 class RouterState:
     """Encoder parameters, degradation bank, and the label order they share."""
 
-    params: dict[str, Tensor]          # conv{i}.weight / conv{i}.bias
-    bank: Tensor                       # (z, T), unit-norm columns
+    params: dict[str, Tensor]          # ENCODER_PARAM_DIMS' names and dims
+    bank: Tensor                       # (LATENT_WIDTH, T), unit-norm columns
     labels: tuple[str, ...]
     patch: tuple[int, int] = (32, 32)
 
@@ -66,14 +74,6 @@ class RouterState:
         norms = np.sqrt((self.bank.data * self.bank.data).sum(axis=0))
         if np.abs(norms - 1.0).max() > 1e-4:
             raise ConfigError("bank columns must be L2-normalized")
-
-    @property
-    def task_count(self) -> int:
-        return len(self.labels)
-
-    @property
-    def latent_width(self) -> int:
-        return self.bank.dims[0]
 
     def param_list(self) -> list[Tensor]:
         return [self.params[k] for k in sorted(self.params)] + [self.bank]
@@ -94,40 +94,24 @@ def normalize_bank(bank: Tensor) -> None:
     bank.data /= np.maximum(norms, DTYPE(1e-12))
 
 
-def encoder_param_dims(z: int) -> dict[str, tuple[int, ...]]:
-    """Name -> dims of every encoder parameter ``build_router`` makes for
-    latent width ``z``."""
-    channels = ENCODER_CHANNELS[:-1] + (z,)
-    dims: dict[str, tuple[int, ...]] = {}
-    for i, (cin, cout) in enumerate(zip(channels, channels[1:]), 1):
-        dims[f"conv{i}.weight"] = (cout, cin, ENCODER_KERNEL, ENCODER_KERNEL)
-        dims[f"conv{i}.bias"] = (cout,)
-    return dims
-
-
-def build_router(labels, seed: int, z: int = LATENT_WIDTH,
-                 patch: tuple[int, int] = (32, 32)) -> RouterState:
-    """Seeded fresh router; encoder He-uniform, bank random unit columns."""
-    channels = ENCODER_CHANNELS[:-1] + (z,)
-    params: dict[str, Tensor] = {}
-    for i in range(len(channels) - 1):
-        cin, cout = channels[i], channels[i + 1]
+def build_router(labels, seed: int, patch: tuple[int, int] = (32, 32)) -> RouterState:
+    """Seeded fresh router with the ``ENCODER_PARAM_DIMS`` layout; conv
+    weights He-uniform, biases zero, bank random unit columns."""
+    params = {name: Tensor.zeros(dims) for name, dims in ENCODER_PARAM_DIMS.items()}
+    for i in range(len(ENCODER_STRIDES)):
+        w = params[f"conv{i + 1}.weight"].data
         rng = seeding.stream(seed, "router-init", i)
-        bound = np.sqrt(6.0 / (cin * ENCODER_KERNEL * ENCODER_KERNEL))
-        w = rng.uniform(-bound, bound, size=(cout, cin, ENCODER_KERNEL, ENCODER_KERNEL))
-        params[f"conv{i + 1}.weight"] = Tensor(w.astype(DTYPE))
-        params[f"conv{i + 1}.bias"] = Tensor.zeros((cout,))
+        bound = np.sqrt(6.0 / (w.shape[1] * ENCODER_KERNEL * ENCODER_KERNEL))
+        w[:] = rng.uniform(-bound, bound, size=w.shape)
     bank_rng = seeding.stream(seed, "router-init", "bank")
-    bank = Tensor(bank_rng.standard_normal((z, len(tuple(labels)))).astype(DTYPE))
+    bank = Tensor(bank_rng.standard_normal((LATENT_WIDTH, len(tuple(labels)))).astype(DTYPE))
     normalize_bank(bank)
     return RouterState(params=params, bank=bank, labels=tuple(labels), patch=patch)
 
 
 def _encode_batch(state: RouterState, x4: np.ndarray, tape: GradTape | None = None) -> Tensor:
     h = Tensor._wrap(x4)
-    n_layers = len([k for k in state.params if k.endswith(".weight")])
-    for i in range(1, n_layers + 1):
-        stride = ENCODER_STRIDES[i - 1] if i <= len(ENCODER_STRIDES) else 2
+    for i, stride in enumerate(ENCODER_STRIDES, 1):
         h = conv2d(h, state.params[f"conv{i}.weight"], "same", stride, tape)
         h = bias_add(h, state.params[f"conv{i}.bias"], tape)
         h = leaky_relu(h, 0.1, tape)
@@ -136,7 +120,7 @@ def _encode_batch(state: RouterState, x4: np.ndarray, tape: GradTape | None = No
 
 
 def encode_degradation(state: RouterState, image: Tensor) -> Tensor:
-    """Unit-norm degradation vector (1, z) of a patch-sized image."""
+    """Unit-norm degradation vector (1, LATENT_WIDTH) of a patch-sized image."""
     expect = (3, state.patch[0], state.patch[1])
     if image.dims != expect:
         raise ShapeError(f"image dims {image.dims} do not match patch {expect}")
@@ -269,8 +253,3 @@ def train_router(state: RouterState, dataset, config) -> RouterState:
         adam.step(grads, lr=cosine_lr(config.learning_rate, it, config.iterations))
         normalize_bank(state.bank)
     return state
-
-
-def classify(state: RouterState, image: Tensor) -> int:
-    """Index of the most similar degradation type for a patch-sized image."""
-    return int(np.argmax(similarity(encode_degradation(state, image), state.bank)))

@@ -1,5 +1,7 @@
 """Checkpoint container format and model/router persistence."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from lorex.checkpoint import (
 from lorex.errors import CheckpointError, ConfigError
 from lorex.numerics import Tensor
 from lorex.restorer import build_model, restore, restore_auto
-from lorex.router import build_router, encoder_param_dims
+from lorex.router import ENCODER_PARAM_DIMS, build_router
 
 
 @pytest.fixture
@@ -150,6 +152,24 @@ class TestModelPersistence:
         with pytest.raises(CheckpointError, match="non-finite"):
             persist.load_model(path)
 
+    @pytest.mark.parametrize("rank,dims", [
+        (5, {}),
+        (4, {"adapter.0.enc1.up": (32, 4)}),
+        (16, {"adapter.0.enc1.up": (16, 16), "adapter.0.enc1.down": (16, 27)}),
+        (4, {"base.enc1.bias": (8,)}),
+    ], ids=["header-rank-5", "up-32-rows", "full-rank", "bias-8-wide"])
+    def test_malformed_layer_tensors_rejected(self, tmp_path, rank, dims):
+        # enc1 is 16x27 with rank 4; each case damages its header rank or tensors
+        model = build_model(("a",), seed=5)
+        header = persist.model_header(model)
+        ranks = tuple(rank if name == "enc1" else r
+                      for name, r in zip(header.layer_names, header.ranks))
+        tensors = persist.model_tensors(model)
+        tensors.update({name: Tensor.zeros(d) for name, d in dims.items()})
+        save_checkpoint(tmp_path / "m.uirl", replace(header, ranks=ranks), tensors)
+        with pytest.raises(CheckpointError, match="enc1"):
+            persist.load_model(tmp_path / "m.uirl")
+
     def test_base_digest_stable(self, tmp_path):
         model = build_model(("a", "b"), seed=6)
         digest = persist.base_digest(model)
@@ -182,9 +202,8 @@ class TestRouterPersistence:
             persist.load_router(tmp_path / "m.uirl")
 
     def test_encoder_dims_are_the_built_ones(self):
-        for z in (32, 8):
-            state = build_router(("a", "b"), seed=1, z=z)
-            assert encoder_param_dims(z) == {k: t.dims for k, t in state.params.items()}
+        state = build_router(("a", "b"), seed=1)
+        assert ENCODER_PARAM_DIMS == {k: t.dims for k, t in state.params.items()}
 
     @pytest.mark.parametrize("name,value", [
         ("router.patch", [32.0]),
@@ -196,13 +215,14 @@ class TestRouterPersistence:
         ("router.conv1.weight", np.zeros((16, 3, 5, 5))),
         ("router.conv3.bias", np.zeros(16)),
         ("router.bank", np.ones(2) / np.sqrt(2)),
+        ("router.bank", np.eye(8, 2)),
         ("router.conv3.weight", None),
         ("router.conv1.bias", None),
         ("router.bank", None),
         ("router.patch", None),
     ], ids=["patch-one-value", "patch-three-values", "patch-zero", "patch-fraction",
             "extra-conv0", "extra-conv4", "conv1-kernel-5", "conv3-bias-width",
-            "bank-1d", "no-conv3-weight", "no-conv1-bias", "no-bank", "no-patch"])
+            "bank-1d", "bank-width-8", "no-conv3-weight", "no-conv1-bias", "no-bank", "no-patch"])
     def test_malformed_router_tensors_rejected(self, tmp_path, name, value):
         tensors = persist.router_tensors(build_router(("a", "b"), seed=9))
         if value is None:

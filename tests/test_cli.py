@@ -164,6 +164,24 @@ class TestExitCodes:
                    "--out", tmp_path / "sweep.tsv") == 1
         assert_one_error_line(capsys.readouterr().err)
 
+    def test_non_positive_rank_is_1(self, mini, tmp_path, capsys):
+        # rank 0 used to train rank-1 adapters in a row labelled 0
+        assert run("sweep-rank", "--data", mini["data"] / "train.manifest",
+                   "--ckpt", mini["base"], "--ranks", "2,0,-3", "--iterations", "1",
+                   "--out", tmp_path / "sweep.tsv") == 1
+        assert_one_error_line(capsys.readouterr().err)
+        assert not (tmp_path / "sweep.tsv").exists()
+
+    def test_restore_k_zero_is_1(self, mini, tmp_path):
+        # K=0 used to route silently with K=1
+        img_path = next((mini["data"] / "test").rglob("*_degraded.ppm"))
+        proc = run_in_subprocess("restore", "--ckpt", mini["base"], "--input", img_path,
+                                 "--output", tmp_path / "y.ppm", "--auto",
+                                 "--router", mini["router"], "-K", "0")
+        assert proc.returncode == 1
+        assert_one_error_line(proc.stderr)
+        assert not (tmp_path / "y.ppm").exists()
+
     def test_empty_strategy_list_is_1(self, mini, tmp_path, capsys):
         assert run("ablate-routing", "--data", mini["data"] / "test.manifest",
                    "--ckpt", mini["base"], "--router", mini["router"],
@@ -184,6 +202,12 @@ class TestRestoreCommand:
         img_path = next((mini["data"] / "test").rglob("*_degraded.ppm"))
         assert run("restore", "--ckpt", mini["base"], "--input", img_path,
                    "--output", tmp_path / "y.ppm", "--auto") == 1
+
+    def test_auto_default_k_is_1(self, mini, tmp_path, capsys):
+        img_path = next((mini["data"] / "test").rglob("*_degraded.ppm"))
+        assert run("restore", "--ckpt", mini["base"], "--input", img_path,
+                   "--output", tmp_path / "y.ppm", "--auto", "--router", mini["router"]) == 0
+        assert "(K=1)" in capsys.readouterr().out
 
     def test_auto_matches_manual_one_hot_when_top1_agrees(self, mini, tmp_path):
         # whatever expert the router picks at K=1, the manual one-hot

@@ -100,50 +100,50 @@ class TestMatmul:
 
 class TestConv2d:
     def test_all_ones_sum_oracle(self):
-        out = conv2d(Tensor(np.ones((1, 3, 3))), Tensor(np.ones((1, 1, 3, 3))), "valid")
-        np.testing.assert_array_equal(out.data, [[[9.0]]])
+        out = conv2d(Tensor(np.ones((1, 1, 3, 3))), Tensor(np.ones((1, 1, 3, 3))), "valid")
+        np.testing.assert_array_equal(out.data, [[[[9.0]]]])
 
     def test_delta_kernel_identity(self, rng):
-        x = Tensor(rng.random((2, 6, 6), dtype=np.float32))
+        x = Tensor(rng.random((1, 2, 6, 6), dtype=np.float32))
         k = np.zeros((2, 2, 3, 3), np.float32)
         k[0, 0, 1, 1] = 1.0
         k[1, 1, 1, 1] = 1.0
         np.testing.assert_array_equal(conv2d(x, Tensor(k), "same").data, x.data)
 
     def test_zero_kernel(self, rng):
-        x = Tensor(rng.random((2, 5, 5), dtype=np.float32))
+        x = Tensor(rng.random((1, 2, 5, 5), dtype=np.float32))
         out = conv2d(x, Tensor.zeros((3, 2, 3, 3)), "same")
-        np.testing.assert_array_equal(out.data, np.zeros((3, 5, 5)))
+        np.testing.assert_array_equal(out.data, np.zeros((1, 3, 5, 5)))
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError):
-            conv2d(Tensor.zeros((1, 5, 5)), Tensor.zeros((1, 1, 2, 2)))
+            conv2d(Tensor.zeros((1, 1, 5, 5)), Tensor.zeros((1, 1, 2, 2)))
 
     def test_undersized_valid_rejected(self):
         with pytest.raises(ShapeError):
-            conv2d(Tensor.zeros((1, 2, 2)), Tensor.zeros((1, 1, 3, 3)), "valid")
+            conv2d(Tensor.zeros((1, 1, 2, 2)), Tensor.zeros((1, 1, 3, 3)), "valid")
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            conv2d(Tensor.zeros((2, 5, 5)), Tensor.zeros((1, 3, 3, 3)))
+            conv2d(Tensor.zeros((1, 2, 5, 5)), Tensor.zeros((1, 3, 3, 3)))
 
     def test_bad_padding(self):
         with pytest.raises(ConfigError):
-            conv2d(Tensor.zeros((1, 5, 5)), Tensor.zeros((1, 1, 3, 3)), "reflect")
+            conv2d(Tensor.zeros((1, 1, 5, 5)), Tensor.zeros((1, 1, 3, 3)), "reflect")
 
     def test_stride2_shapes(self):
-        out = conv2d(Tensor.zeros((1, 8, 8)), Tensor.zeros((2, 1, 3, 3)), "same", 2)
-        assert out.dims == (2, 4, 4)
-        out = conv2d(Tensor.zeros((1, 7, 7)), Tensor.zeros((2, 1, 3, 3)), "valid", 2)
-        assert out.dims == (2, 3, 3)
+        out = conv2d(Tensor.zeros((1, 1, 8, 8)), Tensor.zeros((2, 1, 3, 3)), "same", 2)
+        assert out.dims == (1, 2, 4, 4)
+        out = conv2d(Tensor.zeros((1, 1, 7, 7)), Tensor.zeros((2, 1, 3, 3)), "valid", 2)
+        assert out.dims == (1, 2, 3, 3)
 
     def test_batched_matches_single(self, rng):
         x = rng.random((3, 2, 6, 6), dtype=np.float32)
         k = Tensor(rng.standard_normal((4, 2, 3, 3)).astype(np.float32))
         batched = conv2d(Tensor(x), k, "same", 2)
         for i in range(3):
-            single = conv2d(Tensor(x[i]), k, "same", 2)
-            np.testing.assert_array_equal(batched.data[i], single.data)
+            single = conv2d(Tensor(x[i:i + 1]), k, "same", 2)
+            np.testing.assert_array_equal(batched.data[i:i + 1], single.data)
 
 
 class TestDeterminism:
@@ -159,14 +159,6 @@ class TestDeterminism:
 
 
 class TestGradTape:
-    def test_cleared_tape_zero_gradients(self, rng):
-        x = Tensor(rng.standard_normal((3, 3)).astype(np.float32))
-        tape = GradTape()
-        loss = sum_all(mul(x, x, tape), tape)
-        tape.clear()
-        grads = tape.gradients(loss, [x])
-        np.testing.assert_array_equal(grads[0], np.zeros((3, 3)))
-
     def test_untaped_param_zero_gradient(self, rng):
         x = Tensor(rng.standard_normal((2, 2)).astype(np.float32))
         other = Tensor(rng.standard_normal((4,)).astype(np.float32))

@@ -13,7 +13,6 @@ from lorex.router import (
     RouterState,
     build_router,
     center_crop,
-    classify,
     encode_degradation,
     predict,
     predict_with_crop_correction,
@@ -234,9 +233,3 @@ class TestTrainRouter:
         train_router(state, self._dataset(labels),
                      TrainConfig(iterations=5, batch_size=4, seed=2))
         np.testing.assert_allclose(np.linalg.norm(state.bank.data, axis=0), 1.0, atol=1e-6)
-
-    def test_classify_returns_argmax(self):
-        state = build_router(("a", "b", "c"), seed=13)
-        img = gen_clean_image(5, (32, 32))
-        d = encode_degradation(state, img)
-        assert classify(state, img) == int(np.argmax(similarity(d, state.bank)))
