@@ -87,25 +87,53 @@ def strategy_weight_fn(strategy: str, model: RestorerModel,
     raise ConfigError(f"unknown strategy {strategy!r}")
 
 
+# pixels restored per forward: four 32x32 images. Larger chunks add little
+# speed but grow the im2col columns (eight 32x32 images per chunk raise the
+# evaluate benchmark's peak RSS by about 5 MB)
+CHUNK_PIXELS = 4096
+
+
+def _read_in_chunks(pairs):
+    # (clean, degraded) images of consecutive same-size pairs, at most
+    # CHUNK_PIXELS per chunk, so only one chunk is held in memory
+    chunk: list[tuple[Tensor, Tensor]] = []
+    for clean_path, degraded_path in pairs:
+        clean, degraded = read_ppm(clean_path), read_ppm(degraded_path)
+        _, h, w = degraded.dims
+        if chunk and (degraded.dims != chunk[0][1].dims
+                      or (len(chunk) + 1) * h * w > CHUNK_PIXELS):
+            yield chunk
+            chunk = []
+        chunk.append((clean, degraded))
+    if chunk:
+        yield chunk
+
+
 def evaluate_restoration(model: RestorerModel, manifest: DatasetManifest,
                          weight_fn: WeightFn,
                          with_baseline: bool = True) -> dict[str, dict[str, MetricReport]]:
     """Restore every test pair and score it; returns task -> metric -> report.
 
+    Consecutive same-size pairs are restored in chunks of at most
+    ``CHUNK_PIXELS`` pixels: ``weight_fn`` gives each degraded image its
+    weight vector, and one forward restores the chunk with one weight row
+    per image. Every value equals that of restoring the image alone.
     Metrics: restored psnr/ssim plus (optionally) the degraded input's
     psnr_degraded baseline.
     """
     results: dict[str, dict[str, MetricReport]] = {}
     for task in manifest.tasks:
         psnrs, ssims, base = [], [], []
-        for idx, (clean_path, degraded_path) in enumerate(task.pairs):
-            clean = read_ppm(clean_path)
-            degraded = read_ppm(degraded_path)
-            out = restore(model, degraded, weight_fn(degraded, task.label, idx))
-            psnrs.append(psnr(out, clean))
-            ssims.append(ssim(out, clean))
-            if with_baseline:
-                base.append(psnr(degraded, clean))
+        for chunk in _read_in_chunks(task.pairs):
+            weights = [weight_fn(degraded, task.label, len(psnrs) + j)
+                       for j, (_, degraded) in enumerate(chunk)]
+            restored = restore(model, Tensor._wrap(np.stack([d.data for _, d in chunk])),
+                               np.stack(weights))
+            for (clean, degraded), out in zip(chunk, restored.data):
+                psnrs.append(psnr(out, clean))
+                ssims.append(ssim(out, clean))
+                if with_baseline:
+                    base.append(psnr(degraded, clean))
         reports = {"psnr": MetricReport(psnrs), "ssim": MetricReport(ssims)}
         if with_baseline:
             reports["psnr_degraded"] = MetricReport(base)

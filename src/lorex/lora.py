@@ -9,7 +9,8 @@ reassociation, to *output aggregation* (the base path plus each active
 adapter path times its composition weight), which ``aggregated_forward``
 keeps as the reference the tests compare against. With a gradient tape the
 merge is built from taped ops, so the factors get their gradients through
-the merged weight's gradient by the chain rule.
+the merged weight's gradient by the chain rule. For inference,
+``per_image_forward`` gives every image of a batch its own merged weight.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .numerics import (
     bias_add,
     bias_add_rows,
     conv2d,
+    conv2d_per_image,
     matmul,
     reshape,
     scale,
@@ -135,12 +137,31 @@ def _active(layer: AdaptedLayer, s, tape: GradTape | None) -> list[tuple[float, 
             if si != 0.0 and not (tape is None and not ad.b.data.any())]
 
 
-def _merge(layer: AdaptedLayer, active) -> np.ndarray:
-    acc = layer.base_weight.data.copy()
-    flat = acc.reshape(layer.flat_dims)
-    for si, adapter in active:
-        flat += DTYPE(si) * (adapter.b.data @ adapter.a.data)
+def _merge_rows(layer: AdaptedLayer, rows) -> np.ndarray:
+    # One merged weight per row of composition weights, (R, n, m): the base
+    # plus s_i * (b @ a) for each of the row's active adapters, in adapter
+    # order. The active rule is _active's without a tape.
+    rows = np.asarray(rows, dtype=DTYPE)
+    if rows.ndim != 2 or rows.shape[1] != layer.task_count:
+        raise ConfigError(
+            f"weights of dims {rows.shape[1:]} do not fit {layer.task_count} adapters")
+    if not np.isfinite(rows).all():
+        raise NumericError("weight vector contains non-finite values")
+    acc = np.empty((len(rows), *layer.flat_dims), DTYPE)
+    acc[:] = layer.base_weight.data.reshape(layer.flat_dims)
+    listed = rows.tolist()
+    for i, adapter in enumerate(layer.adapters):
+        users = [r for r, row in enumerate(listed) if row[i] != 0]
+        if users and adapter.b.data.any():
+            delta = adapter.b.data @ adapter.a.data
+            for r in users:
+                acc[r] += rows[r, i] * delta
     return acc
+
+
+def _merged(layer: AdaptedLayer, s) -> Tensor:
+    # the merged weight of one vector, in the base weight's layout
+    return Tensor._wrap(_merge_rows(layer, np.ravel(s)[None])[0].reshape(layer.base_weight.dims))
 
 
 def _base_forward(layer: AdaptedLayer, x: Tensor, tape: GradTape | None,
@@ -158,22 +179,36 @@ def _base_forward(layer: AdaptedLayer, x: Tensor, tape: GradTape | None,
 
 
 def adapted_forward(layer: AdaptedLayer, x: Tensor, s, tape: GradTape | None = None) -> Tensor:
-    """One forward on the merged weight W + sum_k s_k * delta_k.
+    """One forward on the merged weight W + sum_k s_k * delta_k, with one
+    weight vector ``s`` (T,) for the whole batch.
 
     With no active adapter this is the plain base forward, bit-identical to
     the layer without adapters. With a tape the merged weight is built from
     taped ops, so the adapter factors receive gradients.
     """
+    if tape is None:
+        return _base_forward(layer, x, None, _merged(layer, s))
     active = _active(layer, s, tape)
     if not active:
         return _base_forward(layer, x, tape)
-    if tape is None:
-        return _base_forward(layer, x, None, Tensor._wrap(_merge(layer, active)))
     weight = layer.base_weight
     for si, adapter in active:
         delta = scale(matmul(adapter.b, adapter.a, tape), si, tape)
         weight = add(weight, reshape(delta, weight.dims, tape), tape)
     return _base_forward(layer, x, tape, weight)
+
+
+def per_image_forward(layer: AdaptedLayer, x: Tensor, rows, index) -> Tensor:
+    """Inference forward of a conv layer where image j runs on the merged
+    weight of ``rows[index[j]]``: one merged weight per distinct row (R, T),
+    then one conv over the batch. Image j's output is bit-identical to
+    ``adapted_forward`` on image j alone with weights ``rows[index[j]]``."""
+    if layer.kind != "conv":
+        raise ConfigError("per-image weights need a conv layer")
+    merged = _merge_rows(layer, rows)[index]
+    out = conv2d_per_image(x, merged.reshape(len(merged), *layer.base_weight.dims),
+                           layer.padding, layer.stride)
+    return bias_add(out, layer.base_bias) if layer.base_bias is not None else out
 
 
 def _delta_forward(layer: AdaptedLayer, adapter: LoraAdapter, x: Tensor,
@@ -203,7 +238,7 @@ def aggregated_forward(layer: AdaptedLayer, x: Tensor, s,
 def merge_weights(layer: AdaptedLayer, s) -> Tensor:
     """The merged weight W + sum_k s_k * delta_k, skipping all-zero
     up-projections as inference does. Does not mutate the layer."""
-    return Tensor._wrap(_merge(layer, _active(layer, s, None)))
+    return _merged(layer, s)
 
 
 def merged_forward(layer: AdaptedLayer, merged_weight: Tensor, x: Tensor,

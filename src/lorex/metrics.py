@@ -38,20 +38,16 @@ def psnr(a, b, max_val: float = 1.0) -> float:
     return min(10.0 * np.log10(max_val * max_val / mse), PSNR_CAP)
 
 
-def _gaussian_window(size: int, sigma: float) -> np.ndarray:
+def _gaussian_taps(size: int, sigma: float) -> np.ndarray:
     half = size // 2
     x = np.arange(-half, half + 1, dtype=np.float64)
     g = np.exp(-0.5 * (x / sigma) ** 2)
-    g /= g.sum()
-    return np.outer(g, g)
+    return g / g.sum()
 
 
-_WINDOW = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
-
-
-def _local_mean(img: np.ndarray) -> np.ndarray:
-    win = np.lib.stride_tricks.sliding_window_view(img, (SSIM_WINDOW, SSIM_WINDOW))
-    return np.einsum("ijkl,kl->ij", win, _WINDOW, optimize=True)
+# the 2-D window is the outer product of these taps, so it is applied as
+# one pass along H and one along W
+_TAPS = _gaussian_taps(SSIM_WINDOW, SSIM_SIGMA)
 
 
 def ssim(a, b) -> float:
@@ -69,17 +65,17 @@ def ssim(a, b) -> float:
 
     c1 = (SSIM_K1 * 1.0) ** 2
     c2 = (SSIM_K2 * 1.0) ** 2
-    per_channel = []
-    for x, y in zip(av, bv):
-        mu_x = _local_mean(x)
-        mu_y = _local_mean(y)
-        sig_x = _local_mean(x * x) - mu_x * mu_x
-        sig_y = _local_mean(y * y) - mu_y * mu_y
-        sig_xy = _local_mean(x * y) - mu_x * mu_y
-        num = (2 * mu_x * mu_y + c1) * (2 * sig_xy + c2)
-        den = (mu_x * mu_x + mu_y * mu_y + c1) * (sig_x + sig_y + c2)
-        per_channel.append(float(np.mean(num / den)))
-    return float(np.mean(per_channel))
+    # local means of x, y, x^2, y^2 and xy for every channel in one filter pass
+    stats = np.stack([av, bv, av * av, bv * bv, av * bv])
+    window = np.lib.stride_tricks.sliding_window_view
+    stats = window(stats, SSIM_WINDOW, axis=2) @ _TAPS
+    mu_x, mu_y, xx, yy, xy = window(stats, SSIM_WINDOW, axis=3) @ _TAPS
+    sig_x = xx - mu_x * mu_x
+    sig_y = yy - mu_y * mu_y
+    sig_xy = xy - mu_x * mu_y
+    num = (2 * mu_x * mu_y + c1) * (2 * sig_xy + c2)
+    den = (mu_x * mu_x + mu_y * mu_y + c1) * (sig_x + sig_y + c2)
+    return float(np.mean([np.mean(m) for m in num / den]))
 
 
 @dataclass

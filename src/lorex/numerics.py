@@ -185,6 +185,27 @@ def _col2im(gcols: np.ndarray, n: int, c: int, h: int, w: int,
     return buf
 
 
+def _conv_geometry(x: Tensor, kernel_dims, padding: str, stride: int) -> tuple[int, int]:
+    # validates one conv and returns its kernel size and zero padding
+    if padding not in ("same", "valid"):
+        raise ConfigError(f"padding must be 'same' or 'valid', got {padding!r}")
+    if not isinstance(stride, int) or stride < 1:
+        raise ConfigError(f"stride must be a positive integer, got {stride!r}")
+    if len(kernel_dims) != 4 or kernel_dims[2] != kernel_dims[3]:
+        raise ShapeError(f"kernel must be (C_out,C_in,k,k), got {tuple(kernel_dims)}")
+    k = kernel_dims[2]
+    if k % 2 == 0:
+        raise ConfigError(f"kernel size must be odd, got {k}")
+    if x.data.ndim != 4:
+        raise ShapeError(f"input must be (N,C,H,W), got {x.dims}")
+    _, c, h, w = x.dims
+    if c != kernel_dims[1]:
+        raise ShapeError(f"input has {c} channels, kernel expects {kernel_dims[1]}")
+    if padding == "valid" and (h < k or w < k):
+        raise ShapeError(f"input {h}x{w} smaller than kernel {k} under valid padding")
+    return k, (k - 1) // 2 if padding == "same" else 0
+
+
 def conv2d(x: Tensor, kernel: Tensor, padding: str = "same", stride: int = 1,
            tape: GradTape | None = None) -> Tensor:
     """2-D cross-correlation (no kernel flip), zero padding.
@@ -193,24 +214,8 @@ def conv2d(x: Tensor, kernel: Tensor, padding: str = "same", stride: int = 1,
     ``same`` pads symmetrically with (k-1)/2 zeros, so stride 1 preserves
     H and W and stride 2 halves even extents.
     """
-    if padding not in ("same", "valid"):
-        raise ConfigError(f"padding must be 'same' or 'valid', got {padding!r}")
-    if not isinstance(stride, int) or stride < 1:
-        raise ConfigError(f"stride must be a positive integer, got {stride!r}")
-    if kernel.data.ndim != 4 or kernel.dims[2] != kernel.dims[3]:
-        raise ShapeError(f"kernel must be (C_out,C_in,k,k), got {kernel.dims}")
-    k = kernel.dims[2]
-    if k % 2 == 0:
-        raise ConfigError(f"kernel size must be odd, got {k}")
-    if x.data.ndim != 4:
-        raise ShapeError(f"input must be (N,C,H,W), got {x.dims}")
+    k, pad = _conv_geometry(x, kernel.dims, padding, stride)
     n, c, h, w = x.dims
-    if c != kernel.dims[1]:
-        raise ShapeError(f"input has {c} channels, kernel expects {kernel.dims[1]}")
-    if padding == "valid" and (h < k or w < k):
-        raise ShapeError(f"input {h}x{w} smaller than kernel {k} under valid padding")
-    pad = (k - 1) // 2 if padding == "same" else 0
-
     cols, oh, ow = _im2col(x.data, k, stride, pad)
     co = kernel.dims[0]
     wmat = kernel.data.reshape(co, -1)
@@ -227,6 +232,20 @@ def conv2d(x: Tensor, kernel: Tensor, padding: str = "same", stride: int = 1,
 
         tape.record(out, [(x, pull_x), (kernel, pull_w)])
     return out
+
+
+def conv2d_per_image(x: Tensor, kernels: np.ndarray, padding: str = "same",
+                     stride: int = 1) -> Tensor:
+    """``conv2d`` without a tape where image i runs on its own kernel
+    ``kernels[i]``, (N,C_out,C_in,k,k). Each image's GEMM is the one
+    ``conv2d`` runs for that image alone, so outputs are bit-identical."""
+    if kernels.ndim != 5 or kernels.shape[0] != x.dims[0]:
+        raise ShapeError(f"kernels must be (N,C_out,C_in,k,k) for {x.dims[0]} images, "
+                         f"got {kernels.shape}")
+    k, pad = _conv_geometry(x, kernels.shape[1:], padding, stride)
+    n, co = kernels.shape[:2]
+    cols, oh, ow = _im2col(x.data, k, stride, pad)
+    return Tensor._wrap(np.matmul(kernels.reshape(n, co, -1), cols).reshape(n, co, oh, ow))
 
 
 def transpose2d(x: Tensor, tape: GradTape | None = None) -> Tensor:

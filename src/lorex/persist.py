@@ -48,6 +48,9 @@ def model_from_checkpoint(header: CheckpointHeader,
                           tensors: dict[str, Tensor]) -> RestorerModel:
     layers: dict[str, AdaptedLayer] = {}
     rank_by_layer = dict(zip(header.layer_names, header.ranks))
+    unknown = [name for name in header.layer_names if name not in LAYER_NAMES]
+    if unknown:
+        raise CheckpointError(f"checkpoint header names unknown layer {unknown[0]!r}")
     for name, cin, cout, stride in ARCH:
         try:
             weight = tensors[f"base.{name}.weight"]

@@ -20,7 +20,14 @@ import numpy as np
 
 from . import seeding
 from .errors import ConfigError, DataError, ShapeError
-from .lora import AdaptedLayer, LoraAdapter, adapted_forward, merge_weights, merged_forward
+from .lora import (
+    AdaptedLayer,
+    LoraAdapter,
+    adapted_forward,
+    merge_weights,
+    merged_forward,
+    per_image_forward,
+)
 from .numerics import (
     DTYPE,
     Adam,
@@ -167,18 +174,37 @@ def forward(model: RestorerModel, x: Tensor, s, tape: GradTape | None = None,
             merged: bool = False) -> Tensor:
     """Full forward pass; each layer runs once on its merged weight.
 
-    With ``merged=True`` every adapted layer instead runs a plain forward
-    on the exported ``merge_weights`` tensor, which carries no gradient to
-    the adapter factors. Output is unclipped (training needs the gradient);
-    ``restore`` applies the [0,1] clamp.
+    ``s`` is one weight vector (T,) for the whole batch or, for inference,
+    an (N, T) matrix with one row per image: each layer then merges one
+    weight per distinct row and runs one conv over the batch, and image i's
+    output is bit-identical to its own forward with ``s[i]``. With
+    ``merged=True`` every adapted layer instead runs a plain forward on the
+    exported ``merge_weights`` tensor of a vector ``s``, which carries no
+    gradient to the adapter factors. Output is unclipped (training needs
+    the gradient); ``restore`` applies the [0,1] clamp.
     """
     x4, squeeze = _check_input(x)
-    s = np.asarray(s, dtype=DTYPE).ravel()
-    if s.shape != (model.t,):
-        raise ConfigError(f"weight vector length {s.shape[0]} != task count {model.t}")
+    s = np.asarray(s, dtype=DTYPE)
+    rows = None
+    if s.ndim == 2:
+        if tape is not None or merged:
+            raise ConfigError("per-image weights are for untaped, unmerged inference only")
+        if s.shape != (x4.shape[0], model.t):
+            raise ConfigError(f"weight matrix dims {s.shape} != {(x4.shape[0], model.t)} "
+                              "(images, tasks)")
+        rows, index = np.unique(s, axis=0, return_inverse=True)
+        index = index.ravel()
+        if len(rows) == 1:      # one vector for the whole batch after all
+            s, rows = rows[0], None
+    if rows is None:
+        s = s.ravel()
+        if s.shape != (model.t,):
+            raise ConfigError(f"weight vector length {s.shape[0]} != task count {model.t}")
 
     def apply(name: str, xin: Tensor) -> Tensor:
         layer = model.layers[name]
+        if rows is not None:
+            return per_image_forward(layer, xin, rows if layer.adapters else rows[:, :0], index)
         if merged and layer.adapters:
             return merged_forward(layer, merge_weights(layer, s), xin, tape)
         return adapted_forward(layer, xin, s if layer.adapters else (), tape)
@@ -200,8 +226,9 @@ def forward(model: RestorerModel, x: Tensor, s, tape: GradTape | None = None,
 
 
 def restore(model: RestorerModel, image: Tensor, s) -> Tensor:
-    """Restore with explicit composition weights; output clipped to [0,1]."""
-    s = np.asarray(s, dtype=DTYPE).ravel()
+    """Restore with explicit composition weights, a vector (T,) or one row
+    per image (N, T); output clipped to [0,1]."""
+    s = np.asarray(s, dtype=DTYPE)
     if not np.all(np.isfinite(s)) or (s < 0).any():
         raise ConfigError("composition weights must be finite and non-negative")
     return clip01(forward(model, image, s))

@@ -204,10 +204,13 @@ def predict_with_crop_correction(state: RouterState, full_image: Tensor, k: int)
 
     Resizing can distort the apparent degradation (downsampling sharpens
     blur); the crop sees it at native scale. For a patch-sized input both
-    views coincide and this equals plain ``predict``.
+    views are the same pixels, so this encodes once and returns plain
+    ``predict``, bit-identical since (s + s) * 0.5 == s in float32.
     """
     if full_image.data.ndim != 3:
         raise ShapeError(f"expected (3,H,W), got {full_image.dims}")
+    if full_image.dims[1:] == tuple(state.patch):
+        return predict(state, full_image, k)
     resized = resize_bilinear(full_image, state.patch)
     crop = center_crop(full_image, state.patch)
     s_resized = similarity(encode_degradation(state, resized), state.bank)

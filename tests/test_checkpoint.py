@@ -152,22 +152,26 @@ class TestModelPersistence:
         with pytest.raises(CheckpointError, match="non-finite"):
             persist.load_model(path)
 
-    @pytest.mark.parametrize("rank,dims", [
-        (5, {}),
-        (4, {"adapter.0.enc1.up": (32, 4)}),
-        (16, {"adapter.0.enc1.up": (16, 16), "adapter.0.enc1.down": (16, 27)}),
-        (4, {"base.enc1.bias": (8,)}),
-    ], ids=["header-rank-5", "up-32-rows", "full-rank", "bias-8-wide"])
-    def test_malformed_layer_tensors_rejected(self, tmp_path, rank, dims):
-        # enc1 is 16x27 with rank 4; each case damages its header rank or tensors
+    @pytest.mark.parametrize("rank,dims,header_name", [
+        (5, {}, "enc1"),
+        (4, {"adapter.0.enc1.up": (32, 4)}, "enc1"),
+        (16, {"adapter.0.enc1.up": (16, 16), "adapter.0.enc1.down": (16, 27)}, "enc1"),
+        (4, {"base.enc1.bias": (8,)}, "enc1"),
+        (4, {}, "foo"),
+    ], ids=["header-rank-5", "up-32-rows", "full-rank", "bias-8-wide", "unknown-layer-name"])
+    def test_malformed_layer_tensors_rejected(self, tmp_path, rank, dims, header_name):
+        # enc1 is 16x27 with rank 4; each case damages its header rank, its
+        # header name or its tensors, and the error names the header's layer
         model = build_model(("a",), seed=5)
         header = persist.model_header(model)
         ranks = tuple(rank if name == "enc1" else r
                       for name, r in zip(header.layer_names, header.ranks))
+        names = tuple(header_name if name == "enc1" else name for name in header.layer_names)
         tensors = persist.model_tensors(model)
         tensors.update({name: Tensor.zeros(d) for name, d in dims.items()})
-        save_checkpoint(tmp_path / "m.uirl", replace(header, ranks=ranks), tensors)
-        with pytest.raises(CheckpointError, match="enc1"):
+        save_checkpoint(tmp_path / "m.uirl", replace(header, layer_names=names, ranks=ranks),
+                        tensors)
+        with pytest.raises(CheckpointError, match=header_name):
             persist.load_model(tmp_path / "m.uirl")
 
     def test_base_digest_stable(self, tmp_path):

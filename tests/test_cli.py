@@ -136,6 +136,20 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert_one_error_line(proc.stderr)
 
+    def test_unknown_header_layer_is_1_without_traceback(self, tmp_path):
+        model = build_model(("noise", "blur"), seed=1)
+        header, tensors = persist.model_header(model), persist.model_tensors(model)
+        names = tuple("foo" if name == "head" else name for name in header.layer_names)
+        ckpt = tmp_path / "m.uirl"
+        save_checkpoint(ckpt, replace(header, layer_names=names), tensors)
+        img = tmp_path / "x.ppm"
+        write_ppm(img, Tensor(np.zeros((3, 32, 32), np.float32)))
+        proc = run_in_subprocess("restore", "--ckpt", ckpt, "--input", img,
+                                 "--output", tmp_path / "y.ppm", "--s", "1,0")
+        assert proc.returncode == 1
+        assert_one_error_line(proc.stderr)
+        assert "foo" in proc.stderr
+
     def test_invalid_weights_is_1(self, mini, tmp_path, capsys):
         img = tmp_path / "x.ppm"
         write_ppm(img, Tensor(np.zeros((3, 32, 32), np.float32)))

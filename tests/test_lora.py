@@ -13,6 +13,7 @@ from lorex.lora import (
     lora_delta,
     merge_weights,
     merged_forward,
+    per_image_forward,
 )
 from lorex.numerics import GradTape, Tensor, finite_difference_check, l1_loss, mul, sum_all
 
@@ -183,6 +184,32 @@ class TestAdaptedForward:
         layer = random_linear_layer(rng, 4, 6, 2)
         with pytest.raises(NumericError):
             adapted_forward(layer, Tensor.zeros((2, 6)), [float("nan"), 0])
+
+
+class TestPerImageForward:
+    def test_each_image_matches_its_own_adapted_forward(self, rng):
+        layer = random_conv_layer(rng, 4, 3, 3, stride=2, padding="valid")
+        layer.adapters[1].b = Tensor.zeros(layer.adapters[1].b.dims)
+        x = Tensor(rng.standard_normal((4, 3, 9, 9)).astype(np.float32))
+        rows = np.array([[0, 0, 0], [0.2, 0.5, 0.3], [1, 0, 0]], np.float32)
+        index = np.array([2, 0, 2, 1])
+        out = per_image_forward(layer, x, rows, index)
+        for j, r in enumerate(index):
+            alone = adapted_forward(layer, Tensor(x.data[j:j + 1]), rows[r])
+            assert out.data[j].tobytes() == alone.data[0].tobytes()
+
+    def test_rows_are_checked(self, rng):
+        layer = random_conv_layer(rng, 4, 3, 3)
+        x = Tensor.zeros((2, 3, 8, 8))
+        with pytest.raises(ConfigError):
+            per_image_forward(layer, x, np.eye(2, dtype=np.float32), [0, 1])
+        with pytest.raises(NumericError):
+            per_image_forward(layer, x, np.full((2, 3), np.inf, np.float32), [0, 1])
+
+    def test_linear_layer_rejected(self, rng):
+        layer = random_linear_layer(rng, 4, 6, 2)
+        with pytest.raises(ConfigError):
+            per_image_forward(layer, Tensor.zeros((2, 6)), np.eye(2, dtype=np.float32), [0, 1])
 
 
 class TestMergeAggregateEquivalence:

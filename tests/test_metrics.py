@@ -56,6 +56,34 @@ class TestPsnr:
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
+def ssim_2d_window_reference(a: np.ndarray, b: np.ndarray) -> float:
+    """SSIM with the 11x11 Gaussian window applied as one 2-D window per
+    channel and statistic, the textbook form of the separable filter."""
+    x = np.arange(-5, 6, dtype=np.float64)
+    g = np.exp(-0.5 * (x / 1.5) ** 2)
+    g /= g.sum()
+    window = np.outer(g, g)
+    c1, c2 = 0.01 ** 2, 0.03 ** 2
+    a, b = np.asarray(a, np.float64), np.asarray(b, np.float64)
+    if a.ndim == 2:
+        a, b = a[None], b[None]
+
+    def mean(img):
+        win = np.lib.stride_tricks.sliding_window_view(img, (11, 11))
+        return np.einsum("ijkl,kl->ij", win, window)
+
+    per_channel = []
+    for x, y in zip(a, b):
+        mu_x, mu_y = mean(x), mean(y)
+        sig_x = mean(x * x) - mu_x * mu_x
+        sig_y = mean(y * y) - mu_y * mu_y
+        sig_xy = mean(x * y) - mu_x * mu_y
+        num = (2 * mu_x * mu_y + c1) * (2 * sig_xy + c2)
+        den = (mu_x * mu_x + mu_y * mu_y + c1) * (sig_x + sig_y + c2)
+        per_channel.append(np.mean(num / den))
+    return float(np.mean(per_channel))
+
+
 class TestSsim:
     def test_identical_images_one(self):
         img = gen_clean_image(4, (32, 32))
@@ -89,6 +117,13 @@ class TestSsim:
         for _ in range(5):
             img = Tensor(rng.random((3, 16, 16), dtype=np.float32))
             assert abs(ssim(img, img) - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("shape", [(3, 16, 16), (3, 32, 33), (16, 16), (20, 31)],
+                             ids=["16x16", "32x33", "2d-16x16", "2d-20x31"])
+    def test_matches_direct_2d_window(self, rng, shape):
+        a = rng.random(shape)
+        b = np.clip(a + 0.1 * rng.standard_normal(shape), 0, 1)
+        assert abs(ssim(a, b) - ssim_2d_window_reference(a, b)) <= 1e-12
 
     def test_undersized_image_rejected(self):
         with pytest.raises(ShapeError):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from lorex import persist, restorer
-from lorex.degradations import gen_clean_image
+from lorex.degradations import DatasetManifest, TaskRecord, gen_clean_image, read_ppm, write_ppm
 from lorex.errors import ConfigError, DataError, ShapeError
+from lorex.harness import evaluate_restoration, strategy_weight_fn
 from lorex.lora import aggregated_forward, merge_weights
-from lorex.numerics import Tensor
+from lorex.metrics import psnr, ssim
+from lorex.numerics import GradTape, Tensor
 from lorex.restorer import (
     AdapterTrainer,
     TaskData,
@@ -121,6 +123,85 @@ class TestForward:
         model = build_model(LABELS, seed=2)
         x = Tensor(rng.random((3, 64, 64), dtype=np.float32))
         assert restore(model, x, np.zeros(3, np.float32)).dims == (3, 64, 64)
+
+
+class TestPerImageWeights:
+    """forward with an (N, T) matrix equals each image's own forward, bit
+    for bit, and the matrix form is checked like a vector."""
+
+    @pytest.mark.parametrize("rows,size,zero_up", [
+        ([[0.3, 0.7, 0.0]] * 4, (32, 32), False),
+        ([[1, 0, 0], [0, 0.4, 0.6], [0, 1, 0], [0.5, 0, 0.5], [0, 0.4, 0.6]], (32, 32), False),
+        ([[0, 0, 0], [0, 1, 0], [0.2, 0.3, 0.5]], (32, 32), False),
+        ([[0, 0, 1], [0.5, 0, 0.5], [0, 1, 0]], (32, 32), True),
+        ([[0.1, 0.9, 0], [0, 0, 1], [0.3, 0.3, 0.4]], (16, 24), False),
+    ], ids=["all-equal", "distinct-sparse", "all-zero-row", "zero-up-projection", "16x24"])
+    def test_matches_per_image_forward(self, rng, rows, size, zero_up):
+        model = build_model(LABELS, seed=3)
+        randomize_adapters(model, rng)
+        if zero_up:
+            for name in model.adapted_layer_names():
+                model.layers[name].adapters[2].b.data[:] = 0
+        s = np.asarray(rows, np.float32)
+        x = rng.random((len(s), 3, *size), dtype=np.float32)
+        out = forward(model, Tensor(x), s)
+        for i in range(len(s)):
+            alone = forward(model, Tensor(x[i]), s[i])
+            assert out.data[i].tobytes() == alone.data.tobytes()
+
+    def test_restore_checks_the_matrix(self, rng):
+        model = build_model(LABELS, seed=2)
+        x = Tensor(rng.random((2, 3, 32, 32), dtype=np.float32))
+        good = np.full((2, 3), 1 / 3, np.float32)
+        assert restore(model, x, good).dims == (2, 3, 32, 32)
+        bad_value = good.copy()
+        bad_value[1, 2] = np.nan
+        negative = good.copy()
+        negative[0, 1] = -0.1
+        for s in (bad_value, negative, good[:, :2], np.full((2, 4), 0.25, np.float32),
+                  good[:1], np.full((3, 3), 1 / 3, np.float32)):
+            with pytest.raises(ConfigError):
+                restore(model, x, s)
+
+    def test_taped_matrix_rejected(self, rng):
+        model = build_model(LABELS, seed=2)
+        x = Tensor(rng.random((2, 3, 32, 32), dtype=np.float32))
+        with pytest.raises(ConfigError):
+            forward(model, x, np.eye(3, dtype=np.float32)[:2], GradTape())
+
+
+class TestEvaluateRestoration:
+    def test_equals_per_image_loop(self, rng, tmp_path):
+        # chunks of 4 + 1, 2 + 1 and 2 images: a chunk ends when it is full
+        # and when the image size changes
+        model = build_model(LABELS, seed=3)
+        randomize_adapters(model, rng, scale=0.05)
+        sizes = [(32, 32)] * 5 + [(40, 48)] * 3 + [(32, 32)] * 2
+        tasks = []
+        for label in ("t0", "t1"):
+            pairs = []
+            for i, size in enumerate(sizes):
+                clean = gen_clean_image(len(tasks) * 10 + i, size)
+                degraded = Tensor(np.clip(clean.data + rng.normal(0, 0.1, clean.dims), 0, 1))
+                paths = (tmp_path / f"{label}{i}c.ppm", tmp_path / f"{label}{i}d.ppm")
+                write_ppm(paths[0], clean)
+                write_ppm(paths[1], degraded)
+                pairs.append(paths)
+            tasks.append(TaskRecord(label, pairs))
+        manifest = DatasetManifest(tasks)
+        router = build_router(LABELS, seed=4)
+        for strategy in ("random", "average", "top2"):
+            fn = strategy_weight_fn(strategy, model, router, seed=5)
+            got = evaluate_restoration(model, manifest, fn)
+            for task in manifest.tasks:
+                want = {"psnr": [], "ssim": [], "psnr_degraded": []}
+                for idx, (clean_path, degraded_path) in enumerate(task.pairs):
+                    clean, degraded = read_ppm(clean_path), read_ppm(degraded_path)
+                    out = restore(model, degraded, fn(degraded, task.label, idx))
+                    want["psnr"].append(psnr(out, clean))
+                    want["ssim"].append(ssim(out, clean))
+                    want["psnr_degraded"].append(psnr(degraded, clean))
+                assert {m: r.values for m, r in got[task.label].items()} == want
 
 
 class TestMergedEquivalence:

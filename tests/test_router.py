@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from lorex import router
 from lorex.degradations import gen_clean_image
 from lorex.errors import ConfigError, DataError, NumericError, ShapeError
 from lorex.numerics import Tensor
@@ -157,13 +158,20 @@ class TestEncoder:
 
 
 class TestCropCorrection:
-    def test_patch_sized_input_equals_plain_predict(self):
+    def test_patch_sized_input_equals_plain_predict(self, monkeypatch):
+        # both views are the image itself, so it is encoded once
         state = build_router(["a", "b", "c"], seed=5)
         img = gen_clean_image(7, (32, 32))
         plain = predict(state, img, 2)
+        calls = []
+        encode = router._encode_batch
+        monkeypatch.setattr(router, "_encode_batch",
+                            lambda *args: calls.append(1) or encode(*args))
         corrected = predict_with_crop_correction(state, img, 2)
-        assert plain.s_o.tobytes() == corrected.s_o.tobytes()
-        assert plain.s.tobytes() == corrected.s.tobytes()
+        assert len(calls) == 1
+        for field in ("s_o", "mask", "s"):
+            assert getattr(plain, field).tobytes() == getattr(corrected, field).tobytes()
+        assert plain.k == corrected.k
 
     def test_deterministic(self):
         state = build_router(["a", "b"], seed=5)
