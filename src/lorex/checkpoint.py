@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError
+from .fileio import _write_atomic
 from .numerics import DTYPE, Tensor
 
 MAGIC = b"UIRL"
@@ -69,7 +70,7 @@ def save_checkpoint(path, header: CheckpointHeader, tensors: dict[str, Tensor]) 
         parts.append(struct.pack("<I", t.data.ndim))
         parts.append(struct.pack(f"<{t.data.ndim}I", *t.dims))
         parts.append(np.ascontiguousarray(t.data, DTYPE).astype("<f4", copy=False).tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    _write_atomic(path, b"".join(parts))
 
 
 class _Reader:

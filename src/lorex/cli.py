@@ -24,6 +24,7 @@ import numpy as np
 from . import harness, persist
 from .degradations import DatasetConfig, load_manifest, make_dataset, read_ppm, write_ppm
 from .errors import ConfigError, LorexError
+from .fileio import _write_atomic
 from .metrics import format_table, report_line
 from .restorer import AdapterTrainer, TrainConfig, build_model, pretrain_base, \
     restore, restore_auto
@@ -94,7 +95,7 @@ def _emit(lines: list[str], out_path: str | None) -> None:
     for line in lines:
         print(line)
     if out_path:
-        Path(out_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_atomic(out_path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

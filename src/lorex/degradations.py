@@ -24,6 +24,7 @@ import numpy as np
 
 from . import seeding
 from .errors import ConfigError, DataError, ShapeError
+from .fileio import _write_atomic
 from .numerics import DTYPE, Tensor
 
 KINDS = ("gaussian_noise", "gaussian_blur", "low_light", "block_quantize", "masking")
@@ -226,9 +227,7 @@ def write_ppm(path, image: Tensor) -> None:
     _, h, w = image.dims
     q = np.clip(np.rint(image.data * 255.0), 0, 255).astype(np.uint8)
     payload = np.ascontiguousarray(q.transpose(1, 2, 0)).tobytes()
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(payload)
+    _write_atomic(path, f"P6\n{w} {h}\n255\n".encode("ascii") + payload)
 
 
 def read_ppm(path) -> Tensor:
@@ -303,7 +302,7 @@ def write_manifest(path, manifest: DatasetManifest) -> None:
             rel_c = Path(clean).relative_to(base).as_posix()
             rel_d = Path(degraded).relative_to(base).as_posix()
             lines.append(f"{task.label}\t{rel_c}\t{rel_d}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def load_manifest(path, verify: bool = True) -> DatasetManifest:

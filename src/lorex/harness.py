@@ -12,8 +12,8 @@ from .errors import ConfigError
 from .metrics import MetricReport, psnr, ssim
 from .numerics import DTYPE, Tensor
 from .restorer import RestorerModel, TaskData, TrainConfig, restore
-from .router import RouterState, encode_degradation, predict_with_crop_correction, \
-    resize_bilinear, similarity
+from .router import RouterState, _encode_batch, center_crop, predict_with_crop_correction, \
+    resize_bilinear
 
 # pretraining and router schedules; TrainConfig() is the expert
 # stage, a 40x scale-down of an 80K-iteration recipe whose hotter learning
@@ -141,6 +141,22 @@ def evaluate_restoration(model: RestorerModel, manifest: DatasetManifest,
     return results
 
 
+def _routing_scores(router: RouterState, images: list[Tensor], corrected: bool) -> np.ndarray:
+    # (N, T) similarities, as predict_with_crop_correction scores each image:
+    # one encode of the stacked resized views and, if corrected, one of the
+    # native crops of the images that are not patch-sized (a patch-sized
+    # image's crop is its resized view, so its score stays as it is)
+    resized = np.stack([resize_bilinear(img, router.patch).data for img in images])
+    scores = _encode_batch(router, resized).data @ router.bank.data
+    if corrected:
+        big = [i for i, img in enumerate(images) if img.dims[1:] != tuple(router.patch)]
+        if big:
+            crops = np.stack([center_crop(images[i], router.patch).data for i in big])
+            crop_scores = _encode_batch(router, crops).data @ router.bank.data
+            scores[big] = (scores[big] + crop_scores) * DTYPE(0.5)
+    return scores
+
+
 def routing_accuracy(router: RouterState, manifest: DatasetManifest,
                      corrected: bool = True) -> tuple[float, dict[str, float]]:
     """Fraction of degraded test images routed to their true task.
@@ -148,6 +164,7 @@ def routing_accuracy(router: RouterState, manifest: DatasetManifest,
     ``corrected=False`` scores the resized view only; ``corrected=True``
     averages the resized and native-crop similarities first. Tasks whose
     label is not in the router vocabulary (mixed composites) are skipped.
+    Each task's views are encoded as one batch.
     """
     per_task: dict[str, float] = {}
     total = hits = 0
@@ -155,17 +172,9 @@ def routing_accuracy(router: RouterState, manifest: DatasetManifest,
         if task.label not in router.labels:
             continue
         truth = router.labels.index(task.label)
-        task_hits = 0
-        for _, degraded_path in task.pairs:
-            img = read_ppm(degraded_path)
-            if corrected:
-                routed = predict_with_crop_correction(router, img, 1)
-                pred = int(np.argmax(routed.s_o))
-            else:
-                resized = resize_bilinear(img, router.patch)
-                pred = int(np.argmax(similarity(
-                    encode_degradation(router, resized), router.bank)))
-            task_hits += int(pred == truth)
+        images = [read_ppm(degraded_path) for _, degraded_path in task.pairs]
+        preds = np.argmax(_routing_scores(router, images, corrected), axis=1)
+        task_hits = int((preds == truth).sum())
         per_task[task.label] = task_hits / len(task.pairs)
         hits += task_hits
         total += len(task.pairs)

@@ -11,6 +11,16 @@ a backward record; ``GradTape.gradients`` replays the records in reverse.
 A tape is single-owner and must not be shared across concurrent forward
 passes.
 
+Convolutions lower to one im2col gather and one GEMM. Their input
+gradient is convolutions too, not a scatter: input pixel
+``i = stride*q + p`` receives ``g[q + d]`` through tap
+``u = p + pad - stride*d``, so each of the ``stride**2`` phases of the
+input grid is a stride-1 correlation of the zero-bordered output gradient
+with that phase's taps of the flipped, channel-transposed kernel
+(Dumoulin & Visin 2016, arXiv 1603.07285). Stride 1 is one phase, the
+flipped-kernel conv; a 3x3 kernel at stride 2 splits into phases of 1, 2,
+2 and 4 taps.
+
 Finiteness policy: tensors are validated at construction and every scalar
 reduction (losses, sums) raises ``NumericError`` on a non-finite result, so
 a diverging computation fails at the step that produced it instead of
@@ -150,7 +160,7 @@ def matmul(a: Tensor, b: Tensor, tape: GradTape | None = None) -> Tensor:
 
 def _im2col(x4: np.ndarray, k: int, stride: int, pad: int):
     # Column layout is (N, C*k*k, OH*OW): contiguous in the pixel axis, so
-    # the conv GEMMs and col2im run without layout copies.
+    # the conv GEMMs run without layout copies.
     if k == 1:
         sub = x4[:, :, ::stride, ::stride]
         n, c, oh, ow = sub.shape
@@ -166,23 +176,53 @@ def _im2col(x4: np.ndarray, k: int, stride: int, pad: int):
     return cols.reshape(n, c * k * k, oh * ow), oh, ow
 
 
-def _col2im(gcols: np.ndarray, n: int, c: int, h: int, w: int,
-            k: int, stride: int, pad: int, oh: int, ow: int) -> np.ndarray:
-    # Scatter-add column gradients back onto the (padded) input grid,
-    # one accumulation pass per kernel tap.
-    if k == 1 and stride == 1:
-        return gcols.reshape(n, c, h, w).copy()
-    g6 = gcols.reshape(n, c, k * k, oh * ow)
-    buf = np.zeros((n, c, h + 2 * pad, w + 2 * pad), DTYPE)
-    span_h = (oh - 1) * stride + 1
-    span_w = (ow - 1) * stride + 1
-    for u in range(k):
-        for v in range(k):
-            buf[:, :, u:u + span_h:stride, v:v + span_w:stride] += \
-                g6[:, :, u * k + v].reshape(n, c, oh, ow)
-    if pad:
-        return np.ascontiguousarray(buf[:, :, pad:pad + h, pad:pad + w])
-    return buf
+def _phases(extent: int, k: int, stride: int, pad: int) -> list[tuple[int, int, int, int]]:
+    # One axis of a conv's input grid, split into its stride phases. Input
+    # row i = stride*a + p takes output-gradient row a + d through tap
+    # u = p + pad - stride*d. Per phase p: (row count, first d, tap count,
+    # index of the first tap in the flipped kernel); a phase's taps are
+    # every stride-th tap, and their d are consecutive.
+    out = []
+    for p in range(stride):
+        d = -((k - 1 - p - pad) // stride)
+        u = p + pad - stride * d
+        out.append((-(-(extent - p) // stride), d, u // stride + 1 if u >= 0 else 0, k - 1 - u))
+    return out
+
+
+def _conv_data_grad(g: np.ndarray, kernel: np.ndarray, h: int, w: int,
+                    stride: int, pad: int) -> np.ndarray:
+    # Input gradient of a conv: each stride phase of the input grid is a
+    # stride-1 correlation of the zero-bordered g with that phase's taps of
+    # the flipped, channel-transposed kernel, as one gather and one GEMM.
+    n, co, oh, ow = g.shape
+    c, k = kernel.shape[1], kernel.shape[2]
+    rows, cols = _phases(h, k, stride, pad), _phases(w, k, stride, pad)
+    top, left = -rows[0][1], -cols[0][1]
+    bottom = max(0, max(q + d + t - 1 - oh for q, d, t, _ in rows))
+    right = max(0, max(q + d + t - 1 - ow for q, d, t, _ in cols))
+    gp = np.zeros((n, co, top + oh + bottom, left + ow + right), DTYPE)
+    gp[:, :, top:top + oh, left:left + ow] = g
+    flipped = kernel.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+    sn, sc, sy, sx = gp.strides
+    dx = np.empty((n, c, h, w), DTYPE) if stride > 1 else None
+    for p, (hq, dh, th, fh) in enumerate(rows):
+        for r, (wq, dw, tw, fw) in enumerate(cols):
+            if hq < 1 or wq < 1:
+                continue
+            if th == 0 or tw == 0:
+                dx[:, :, p::stride, r::stride] = 0
+                continue
+            win = np.lib.stride_tricks.as_strided(
+                gp[:, :, top + dh:, left + dw:], (n, co, th, tw, hq, wq),
+                (sn, sc, sy, sx, sy, sx), writeable=False)
+            taps = np.ascontiguousarray(win).reshape(n, co * th * tw, hq * wq)
+            sub = flipped[:, :, fh::stride, fw::stride].reshape(c, co * th * tw)
+            out = np.matmul(sub, taps)
+            if dx is None:      # stride 1: the one phase is the whole grid
+                return out.reshape(n, c, h, w)
+            dx[:, :, p::stride, r::stride] = out.reshape(n, c, hq, wq)
+    return dx
 
 
 def _conv_geometry(x: Tensor, kernel_dims, padding: str, stride: int) -> tuple[int, int]:
@@ -222,8 +262,7 @@ def conv2d(x: Tensor, kernel: Tensor, padding: str = "same", stride: int = 1,
     out = Tensor._wrap(np.matmul(wmat, cols).reshape(n, co, oh, ow))
     if tape is not None:
         def pull_x(g):
-            gmat = g.reshape(n, co, oh * ow)
-            return _col2im(np.matmul(wmat.T, gmat), n, c, h, w, k, stride, pad, oh, ow)
+            return _conv_data_grad(g, kernel.data, h, w, stride, pad)
 
         def pull_w(g):
             gmat = g.reshape(n, co, oh * ow)
@@ -330,10 +369,19 @@ def scale(x: Tensor, c: float, tape: GradTape | None = None) -> Tensor:
 
 
 def leaky_relu(x: Tensor, slope: float = 0.1, tape: GradTape | None = None) -> Tensor:
-    pos = x.data > 0
-    out = Tensor._wrap(np.where(pos, x.data, x.data * DTYPE(slope)))
+    """``x`` where positive, else ``slope * x``, for 0 <= slope < 1.
+
+    Computed branch-free as ``max(x, slope*x)``, which is that function,
+    signed zeros included, only for a slope in [0, 1).
+    """
+    slope = float(slope)
+    if not 0.0 <= slope < 1.0:
+        raise ConfigError(f"leaky_relu slope must be in [0, 1), got {slope}")
+    out = Tensor._wrap(np.maximum(x.data, x.data * DTYPE(slope)))
     if tape is not None:
-        tape.record(out, [(x, lambda g: np.where(pos, g, g * DTYPE(slope)))])
+        pos = (x.data > 0).view(np.uint8)
+        factors = np.array([slope, 1.0], DTYPE)
+        tape.record(out, [(x, lambda g: g * factors.take(pos))])
     return out
 
 

@@ -146,6 +146,68 @@ class TestConv2d:
             np.testing.assert_array_equal(batched.data[i:i + 1], single.data)
 
 
+def col2im_pull_x(g, kernel, x_dims, stride, pad):
+    """Reference conv input gradient: a GEMM onto the im2col columns, then
+    a scatter-add of each kernel tap's column block onto the padded input."""
+    n, c, h, w = x_dims
+    co, _, k, _ = kernel.shape
+    _, _, oh, ow = g.shape
+    gcols = np.matmul(kernel.reshape(co, -1).T, g.reshape(n, co, oh * ow))
+    g6 = gcols.reshape(n, c, k * k, oh * ow)
+    buf = np.zeros((n, c, h + 2 * pad, w + 2 * pad), np.float32)
+    span_h = (oh - 1) * stride + 1
+    span_w = (ow - 1) * stride + 1
+    for u in range(k):
+        for v in range(k):
+            buf[:, :, u:u + span_h:stride, v:v + span_w:stride] += \
+                g6[:, :, u * k + v].reshape(n, c, oh, ow)
+    return buf[:, :, pad:pad + h, pad:pad + w]
+
+
+class TestConvDataGradient:
+    """The taped conv input gradient (per-phase convolutions) against the
+    im2col/col2im scatter reference above."""
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("extent", [(8, 8), (9, 7), (5, 6), (16, 12)])
+    def test_matches_col2im_reference(self, k, stride, padding, extent, rng):
+        x = Tensor(rng.standard_normal((2, 3, *extent)).astype(np.float32))
+        kernel = Tensor(rng.standard_normal((4, 3, k, k)).astype(np.float32))
+        tape = GradTape()
+        out = conv2d(x, kernel, padding, stride, tape)
+        g = rng.standard_normal(out.dims).astype(np.float32)
+        loss = sum_all(mul(out, Tensor(g), tape), tape)
+        dx = tape.gradients(loss, [x])[0]
+        pad = (k - 1) // 2 if padding == "same" else 0
+        ref = col2im_pull_x(g, kernel.data, x.dims, stride, pad)
+        assert dx.shape == x.dims
+        assert np.abs(dx - ref).max() <= 1e-5 * np.abs(ref).max()
+
+
+class TestLeakyRelu:
+    @pytest.mark.parametrize("slope", [-0.1, 1.0, 2.0, float("nan")])
+    def test_slope_outside_unit_interval_rejected(self, slope):
+        with pytest.raises(ConfigError):
+            leaky_relu(Tensor.zeros((2, 2)), slope)
+
+    @pytest.mark.parametrize("slope", [0.0, 0.1, 0.5])
+    def test_bit_identical_to_where_reference(self, slope, rng):
+        x = rng.standard_normal((4, 3, 5, 5)).astype(np.float32)
+        x.flat[:4] = [0.0, -0.0, 1e-45, -1e-45]
+        g = rng.standard_normal(x.shape).astype(np.float32)
+        g.flat[4:8] = [0.0, -0.0, 0.0, -0.0]
+        s = np.float32(slope)
+        xt = Tensor._wrap(x)
+        tape = GradTape()
+        out = leaky_relu(xt, slope, tape)
+        loss = sum_all(mul(out, Tensor._wrap(g), tape), tape)
+        dx = tape.gradients(loss, [xt])[0]
+        assert out.data.tobytes() == np.where(x > 0, x, x * s).tobytes()
+        assert dx.tobytes() == np.where(x > 0, g, g * s).tobytes()
+
+
 class TestDeterminism:
     def test_ops_bit_identical_on_repeat(self, rng):
         x = Tensor(rng.standard_normal((2, 3, 8, 8)).astype(np.float32))

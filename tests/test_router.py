@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from lorex import router
-from lorex.degradations import gen_clean_image
+from lorex.degradations import DEFAULT_TASKS, DatasetManifest, DegradationSpec, TaskRecord, \
+    apply_degradation, gen_clean_image, read_ppm, write_ppm
 from lorex.errors import ConfigError, DataError, NumericError, ShapeError
+from lorex.harness import routing_accuracy
 from lorex.numerics import Tensor
 from lorex.restorer import TrainConfig
 from lorex.router import (
@@ -241,3 +243,66 @@ class TestTrainRouter:
         train_router(state, self._dataset(labels),
                      TrainConfig(iterations=5, batch_size=4, seed=2))
         np.testing.assert_allclose(np.linalg.norm(state.bank.data, axis=0), 1.0, atol=1e-6)
+
+
+class TestRoutingAccuracy:
+    SIZES = ((32, 32), (48, 40), (64, 64), (40, 56))
+
+    def _manifest(self, tmp_path, tasks):
+        records = []
+        for t, task in enumerate(tasks):
+            pairs = []
+            for i in range(6):
+                clean = gen_clean_image(100 * t + i, self.SIZES[i % len(self.SIZES)])
+                degraded = apply_degradation(
+                    clean, DegradationSpec(task.kind, task.params, seed=i))
+                paths = (tmp_path / f"{task.label}_{i}_c.ppm", tmp_path / f"{task.label}_{i}_d.ppm")
+                write_ppm(paths[0], clean)
+                write_ppm(paths[1], degraded)
+                pairs.append(paths)
+            records.append(TaskRecord(task.label, pairs))
+        records.append(TaskRecord("not_routed", records[0].pairs[:2]))
+        return DatasetManifest(records)
+
+    @staticmethod
+    def _reference(state, manifest, corrected):
+        # one image at a time, as restore routes it
+        per_task, hits, total, preds = {}, 0, 0, []
+        for task in manifest.tasks:
+            if task.label not in state.labels:
+                continue
+            task_hits = 0
+            for _, degraded_path in task.pairs:
+                img = read_ppm(degraded_path)
+                if corrected:
+                    s_o = predict_with_crop_correction(state, img, 1).s_o
+                else:
+                    s_o = similarity(encode_degradation(
+                        state, resize_bilinear(img, state.patch)), state.bank)
+                preds.append(int(np.argmax(s_o)))
+                task_hits += int(preds[-1] == state.labels.index(task.label))
+            per_task[task.label] = task_hits / len(task.pairs)
+            hits += task_hits
+            total += len(task.pairs)
+        return hits / total, per_task, preds
+
+    def test_batched_equals_per_image_reference(self, tmp_path):
+        tasks = DEFAULT_TASKS[:3]
+        manifest = self._manifest(tmp_path, tasks)
+        state = build_router([t.label for t in tasks], seed=3)
+        train_router(state, [(task.label, [
+            apply_degradation(gen_clean_image(500 + i, (32, 32)),
+                              DegradationSpec(task.kind, task.params, seed=i))
+            for i in range(8)]) for task in tasks], TrainConfig(iterations=60, batch_size=8))
+        refs = {}
+        for corrected in (True, False):
+            acc, per_task, preds = self._reference(state, manifest, corrected)
+            assert routing_accuracy(state, manifest, corrected) == (acc, per_task)
+            refs[corrected] = preds
+        # the crops change some predictions, so both modes are exercised
+        assert refs[True] != refs[False]
+
+    def test_no_shared_label_rejected(self, tmp_path):
+        manifest = self._manifest(tmp_path, DEFAULT_TASKS[:1])
+        with pytest.raises(ConfigError):
+            routing_accuracy(build_router(["x", "y"], seed=3), manifest)
