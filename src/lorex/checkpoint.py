@@ -11,8 +11,8 @@ row-major):
     layer_names   layer_count x (u32 length + utf-8 bytes)
     ranks         layer_count x u32 (aligned with layer_names)
     tensor_count  u32
-    tensors       name (u32 length + utf-8) + ndim u32 + dims u32[ndim]
-                  + payload f32[product(dims)]
+    tensors       name (u32 length + utf-8) + ndim u32 (at most 8)
+                  + dims u32[ndim] + payload f32[product(dims)]
 
 Round-trips are bit-exact; loading rejects wrong magic or version, any
 structural damage, text that is not UTF-8 and non-finite tensor values.
@@ -20,6 +20,7 @@ structural damage, text that is not UTF-8 and non-finite tensor values.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,6 +33,7 @@ from .numerics import DTYPE, Tensor
 
 MAGIC = b"UIRL"
 VERSION = 1
+MAX_NDIM = 8
 
 
 @dataclass(frozen=True)
@@ -111,10 +113,13 @@ def load_checkpoint(path) -> tuple[CheckpointHeader, dict[str, Tensor]]:
     for _ in range(r.u32()):
         name = r.string()
         ndim = r.u32()
+        if ndim > MAX_NDIM:
+            raise CheckpointError(f"{path}: tensor {name!r} has {ndim} dimensions "
+                                  f"(at most {MAX_NDIM})")
         dims = struct.unpack(f"<{ndim}I", r.take(4 * ndim))
         if any(d < 1 for d in dims):
             raise CheckpointError(f"{path}: tensor {name!r} has a zero extent")
-        count = int(np.prod(dims))
+        count = math.prod(dims)     # exact: a product of u32s can pass 2**64
         payload = r.take(4 * count)
         if name in tensors:
             raise CheckpointError(f"{path}: duplicate tensor {name!r}")

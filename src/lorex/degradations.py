@@ -308,7 +308,10 @@ def write_manifest(path, manifest: DatasetManifest) -> None:
 def load_manifest(path, verify: bool = True) -> DatasetManifest:
     path = Path(path)
     base = path.parent
-    text = path.read_text(encoding="utf-8").splitlines()
+    try:
+        text = path.read_bytes().decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: manifest is not valid UTF-8 ({exc.reason})") from None
     if not text or not text[0].startswith(MANIFEST_MAGIC):
         raise DataError(f"{path}: missing manifest header")
     try:
@@ -339,7 +342,10 @@ def load_manifest(path, verify: bool = True) -> DatasetManifest:
                 for fp in (clean, degraded):
                     if not fp.exists():
                         raise DataError(f"{path}: missing file {fp}")
-                    read_ppm(fp)
+                    try:
+                        read_ppm(fp)
+                    except OSError as exc:
+                        raise DataError(f"{path}: cannot read {fp} ({exc.strerror})") from None
     return manifest
 
 

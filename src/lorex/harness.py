@@ -12,7 +12,7 @@ from .errors import ConfigError
 from .metrics import MetricReport, psnr, ssim
 from .numerics import DTYPE, Tensor
 from .restorer import RestorerModel, TaskData, TrainConfig, restore
-from .router import RouterState, _encode_batch, center_crop, predict_with_crop_correction, \
+from .router import RouterState, _crop_view, _encode_batch, predict_with_crop_correction, \
     resize_bilinear
 
 # pretraining and router schedules; TrainConfig() is the expert
@@ -144,14 +144,15 @@ def evaluate_restoration(model: RestorerModel, manifest: DatasetManifest,
 def _routing_scores(router: RouterState, images: list[Tensor], corrected: bool) -> np.ndarray:
     # (N, T) similarities, as predict_with_crop_correction scores each image:
     # one encode of the stacked resized views and, if corrected, one of the
-    # native crops of the images that are not patch-sized (a patch-sized
-    # image's crop is its resized view, so its score stays as it is)
+    # native crops of the images that have one (where the crop view is the
+    # resized view, the score stays as it is)
     resized = np.stack([resize_bilinear(img, router.patch).data for img in images])
     scores = _encode_batch(router, resized).data @ router.bank.data
     if corrected:
-        big = [i for i, img in enumerate(images) if img.dims[1:] != tuple(router.patch)]
+        views = [_crop_view(img, router.patch) for img in images]
+        big = [i for i, view in enumerate(views) if view is not None]
         if big:
-            crops = np.stack([center_crop(images[i], router.patch).data for i in big])
+            crops = np.stack([views[i].data for i in big])
             crop_scores = _encode_batch(router, crops).data @ router.bank.data
             scores[big] = (scores[big] + crop_scores) * DTYPE(0.5)
     return scores

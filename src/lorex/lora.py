@@ -11,6 +11,11 @@ keeps as the reference the tests compare against. With a gradient tape the
 merge is built from taped ops, so the factors get their gradients through
 the merged weight's gradient by the chain rule. For inference,
 ``per_image_forward`` gives every image of a batch its own merged weight.
+
+A conv layer's input is one tensor or, for a decoder layer, the pair
+``(low, skip)``: every forward here (merged, aggregated, per-image) then
+runs ``upsample_conv2d``, the conv of upsampled ``low`` concatenated with
+``skip``, with the same kernel it would give ``conv2d``.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .numerics import (
     reshape,
     scale,
     transpose2d,
+    upsample_conv2d,
 )
 
 
@@ -164,7 +170,16 @@ def _merged(layer: AdaptedLayer, s) -> Tensor:
     return Tensor._wrap(_merge_rows(layer, np.ravel(s)[None])[0].reshape(layer.base_weight.dims))
 
 
-def _base_forward(layer: AdaptedLayer, x: Tensor, tape: GradTape | None,
+def _conv(layer: AdaptedLayer, x, kernel: Tensor, tape: GradTape | None) -> Tensor:
+    # a decoder layer's input is the pair (low, skip) of upsample_conv2d
+    if isinstance(x, tuple):
+        return upsample_conv2d(*x, kernel, tape)
+    if kernel.data.ndim == 5:
+        return conv2d_per_image(x, kernel.data, layer.padding, layer.stride)
+    return conv2d(x, kernel, layer.padding, layer.stride, tape)
+
+
+def _base_forward(layer: AdaptedLayer, x, tape: GradTape | None,
                   weight: Tensor | None = None) -> Tensor:
     w = layer.base_weight if weight is None else weight
     if layer.kind == "linear":
@@ -172,13 +187,13 @@ def _base_forward(layer: AdaptedLayer, x: Tensor, tape: GradTape | None,
         if layer.base_bias is not None:
             out = bias_add_rows(out, layer.base_bias, tape)
     else:
-        out = conv2d(x, w, layer.padding, layer.stride, tape)
+        out = _conv(layer, x, w, tape)
         if layer.base_bias is not None:
             out = bias_add(out, layer.base_bias, tape)
     return out
 
 
-def adapted_forward(layer: AdaptedLayer, x: Tensor, s, tape: GradTape | None = None) -> Tensor:
+def adapted_forward(layer: AdaptedLayer, x, s, tape: GradTape | None = None) -> Tensor:
     """One forward on the merged weight W + sum_k s_k * delta_k, with one
     weight vector ``s`` (T,) for the whole batch.
 
@@ -198,7 +213,7 @@ def adapted_forward(layer: AdaptedLayer, x: Tensor, s, tape: GradTape | None = N
     return _base_forward(layer, x, tape, weight)
 
 
-def per_image_forward(layer: AdaptedLayer, x: Tensor, rows, index) -> Tensor:
+def per_image_forward(layer: AdaptedLayer, x, rows, index) -> Tensor:
     """Inference forward of a conv layer where image j runs on the merged
     weight of ``rows[index[j]]``: one merged weight per distinct row (R, T),
     then one conv over the batch. Image j's output is bit-identical to
@@ -206,12 +221,11 @@ def per_image_forward(layer: AdaptedLayer, x: Tensor, rows, index) -> Tensor:
     if layer.kind != "conv":
         raise ConfigError("per-image weights need a conv layer")
     merged = _merge_rows(layer, rows)[index]
-    out = conv2d_per_image(x, merged.reshape(len(merged), *layer.base_weight.dims),
-                           layer.padding, layer.stride)
-    return bias_add(out, layer.base_bias) if layer.base_bias is not None else out
+    return _base_forward(layer, x, None, Tensor._wrap(
+        merged.reshape(len(merged), *layer.base_weight.dims)))
 
 
-def _delta_forward(layer: AdaptedLayer, adapter: LoraAdapter, x: Tensor,
+def _delta_forward(layer: AdaptedLayer, adapter: LoraAdapter, x,
                    weight: float, tape: GradTape | None) -> Tensor:
     if layer.kind == "linear":
         h = matmul(x, transpose2d(adapter.a, tape), tape)
@@ -219,13 +233,13 @@ def _delta_forward(layer: AdaptedLayer, adapter: LoraAdapter, x: Tensor,
         return scale(h, weight, tape)
     co, ci, kh, kw = layer.base_weight.dims
     ka = reshape(adapter.a, (adapter.rank, ci, kh, kw), tape)
-    h = conv2d(x, ka, layer.padding, layer.stride, tape)
+    h = _conv(layer, x, ka, tape)
     kb = reshape(adapter.b, (co, adapter.rank, 1, 1), tape)
     h = conv2d(h, kb, "same", 1, tape)
     return scale(h, weight, tape)
 
 
-def aggregated_forward(layer: AdaptedLayer, x: Tensor, s,
+def aggregated_forward(layer: AdaptedLayer, x, s,
                        tape: GradTape | None = None) -> Tensor:
     """Base output plus weighted adapter outputs: the output-aggregation
     reference for ``adapted_forward``, with the same active-adapter rule."""
@@ -241,7 +255,7 @@ def merge_weights(layer: AdaptedLayer, s) -> Tensor:
     return _merged(layer, s)
 
 
-def merged_forward(layer: AdaptedLayer, merged_weight: Tensor, x: Tensor,
+def merged_forward(layer: AdaptedLayer, merged_weight: Tensor, x,
                    tape: GradTape | None = None) -> Tensor:
     """Plain forward with a replacement weight, e.g. from ``merge_weights``."""
     if merged_weight.dims != layer.base_weight.dims:

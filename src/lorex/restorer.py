@@ -34,17 +34,17 @@ from .numerics import (
     GradTape,
     Tensor,
     clip01,
-    concat_channels,
     cosine_lr,
     l1_loss,
     leaky_relu,
-    upsample_nearest2,
 )
 from .router import RouterOutput, RouterState, predict_with_crop_correction
 
-# name, in_channels, out_channels, stride; decode blocks consume
-# upsampled features concatenated with their skip connection, and a linear
-# head projects full-resolution features to RGB
+# name, in_channels, out_channels, stride; a decode block takes the pair
+# (low, skip) and convolves the 2x nearest-upsampled low-resolution features
+# concatenated with the skip connection (numerics.upsample_conv2d, which
+# builds neither tensor), so its in_channels are low's plus skip's; a
+# linear head projects full-resolution features to RGB
 ARCH: tuple[tuple[str, int, int, int], ...] = (
     ("enc1", 3, 16, 2),
     ("enc2", 16, 32, 2),
@@ -180,8 +180,10 @@ def forward(model: RestorerModel, x: Tensor, s, tape: GradTape | None = None,
     output is bit-identical to its own forward with ``s[i]``. With
     ``merged=True`` every adapted layer instead runs a plain forward on the
     exported ``merge_weights`` tensor of a vector ``s``, which carries no
-    gradient to the adapter factors. Output is unclipped (training needs
-    the gradient); ``restore`` applies the [0,1] clamp.
+    gradient to the adapter factors. Each decoder layer is handed the pair
+    ``(low, skip)``, its low-resolution input and its skip connection, and
+    runs ``upsample_conv2d`` on it on every path. Output is unclipped
+    (training needs the gradient); ``restore`` applies the [0,1] clamp.
     """
     x4, squeeze = _check_input(x)
     s = np.asarray(s, dtype=DTYPE)
@@ -201,7 +203,7 @@ def forward(model: RestorerModel, x: Tensor, s, tape: GradTape | None = None,
         if s.shape != (model.t,):
             raise ConfigError(f"weight vector length {s.shape[0]} != task count {model.t}")
 
-    def apply(name: str, xin: Tensor) -> Tensor:
+    def apply(name: str, xin) -> Tensor:
         layer = model.layers[name]
         if rows is not None:
             return per_image_forward(layer, xin, rows if layer.adapters else rows[:, :0], index)
@@ -215,12 +217,9 @@ def forward(model: RestorerModel, x: Tensor, s, tape: GradTape | None = None,
     h3 = leaky_relu(apply("enc3", h2), LEAKY_SLOPE, tape)
     b1 = leaky_relu(apply("bot1", h3), LEAKY_SLOPE, tape)
     b2 = leaky_relu(apply("bot2", b1), LEAKY_SLOPE, tape)
-    d1 = leaky_relu(apply("dec1", concat_channels(
-        [upsample_nearest2(b2, tape), h2], tape)), LEAKY_SLOPE, tape)
-    d2 = leaky_relu(apply("dec2", concat_channels(
-        [upsample_nearest2(d1, tape), h1], tape)), LEAKY_SLOPE, tape)
-    d3 = leaky_relu(apply("dec3", concat_channels(
-        [upsample_nearest2(d2, tape), x_in], tape)), LEAKY_SLOPE, tape)
+    d1 = leaky_relu(apply("dec1", (b2, h2)), LEAKY_SLOPE, tape)
+    d2 = leaky_relu(apply("dec2", (d1, h1)), LEAKY_SLOPE, tape)
+    d3 = leaky_relu(apply("dec3", (d2, x_in)), LEAKY_SLOPE, tape)
     out = apply("head", d3)
     return Tensor._wrap(out.data[0]) if squeeze else out
 

@@ -198,21 +198,34 @@ def center_crop(image: Tensor, target: tuple[int, int]) -> Tensor:
     return Tensor._wrap(np.ascontiguousarray(image.data[:, y:y + th, x:x + tw]))
 
 
+def _crop_view(image: Tensor, patch: tuple[int, int]) -> Tensor | None:
+    # The native-scale view of crop correction: the center crop, or None
+    # where that view is the resized one. That is so for a patch-sized image
+    # (the same pixels) and for one smaller than the patch in either extent
+    # (no crop fits, so it is upsampled like the resized view).
+    _, h, w = image.dims
+    if (h, w) == tuple(patch) or h < patch[0] or w < patch[1]:
+        return None
+    return center_crop(image, patch)
+
+
 def predict_with_crop_correction(state: RouterState, full_image: Tensor, k: int) -> RouterOutput:
     """Average the similarity of the resized image and of a native-scale
     center crop before Top-K reallocation.
 
     Resizing can distort the apparent degradation (downsampling sharpens
     blur); the crop sees it at native scale. For a patch-sized input both
-    views are the same pixels, so this encodes once and returns plain
-    ``predict``, bit-identical since (s + s) * 0.5 == s in float32.
+    views are the same pixels, and an input smaller than the patch in
+    either extent has no crop, so its crop view is the resized view. Then
+    this encodes once and returns plain ``predict`` of the resized view,
+    bit-identical since (s + s) * 0.5 == s in float32.
     """
     if full_image.data.ndim != 3:
         raise ShapeError(f"expected (3,H,W), got {full_image.dims}")
-    if full_image.dims[1:] == tuple(state.patch):
-        return predict(state, full_image, k)
     resized = resize_bilinear(full_image, state.patch)
-    crop = center_crop(full_image, state.patch)
+    crop = _crop_view(full_image, state.patch)
+    if crop is None:
+        return predict(state, resized, k)
     s_resized = similarity(encode_degradation(state, resized), state.bank)
     s_crop = similarity(encode_degradation(state, crop), state.bank)
     return topk_reallocate((s_resized + s_crop) * DTYPE(0.5), k)

@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lorex import persist
 from lorex.degradations import DatasetConfig, make_dataset
@@ -21,6 +22,10 @@ from lorex.restorer import AdapterTrainer, TrainConfig, build_model, pretrain_ba
 from lorex.router import build_router, train_router
 
 MASTER_SEED = 7
+
+# `pytest --hypothesis-profile=ci`: the same examples on every run, a
+# bounded count, and no per-example deadline on a shared machine
+settings.register_profile("ci", derandomize=True, deadline=None, max_examples=200)
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 """Checkpoint container format and model/router persistence."""
 
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -69,6 +70,19 @@ class TestContainer:
         save_checkpoint(path, header, tensors)
         blob = path.read_bytes()
         path.write_bytes(blob[:len(blob) - 5])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("dims", [(1 << 16,) * 4, (1,) * 65],
+                             ids=["extents-multiply-past-2**64", "65-dimensions"])
+    def test_rejects_impossible_dims(self, tmp_path, dims):
+        # four extents of 2**16 multiply to 0 in int64 arithmetic, and numpy
+        # holds at most 64 dimensions: both must be a CheckpointError, not a
+        # ValueError from reshaping the payload
+        path = tmp_path / "x.uirl"
+        blob = (MAGIC + struct.pack("<4I", 1, 0, 0, 1) + struct.pack("<I", 1) + b"w"
+                + struct.pack(f"<{len(dims) + 1}I", len(dims), *dims) + b"\0" * 4)
+        path.write_bytes(blob)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 

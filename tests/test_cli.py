@@ -14,7 +14,7 @@ import lorex
 from lorex import persist
 from lorex.checkpoint import load_checkpoint, save_checkpoint
 from lorex.cli import main
-from lorex.degradations import load_manifest, read_ppm, write_ppm
+from lorex.degradations import gen_clean_image, load_manifest, read_ppm, write_ppm
 from lorex.harness import PRETRAIN, ROUTER, clean_training_images, load_task_data, \
     router_training_set
 from lorex.numerics import Tensor
@@ -150,6 +150,38 @@ class TestExitCodes:
         assert_one_error_line(proc.stderr)
         assert "foo" in proc.stderr
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda blob: blob[:-7],
+        lambda blob: blob.replace(b"255", b"256", 1),
+        lambda blob: b"P3" + blob[2:],
+    ], ids=["truncated-payload", "maxval-256", "ascii-magic"])
+    def test_corrupted_ppm_is_1_without_traceback(self, mini, tmp_path, corrupt):
+        img_path = next((mini["data"] / "test").rglob("*_degraded.ppm"))
+        bad = tmp_path / "bad.ppm"
+        bad.write_bytes(corrupt(img_path.read_bytes()))
+        proc = run_in_subprocess("restore", "--ckpt", mini["base"], "--input", bad,
+                                 "--output", tmp_path / "y.ppm", "--s", "1,0,0,0,0")
+        assert proc.returncode == 1
+        assert_one_error_line(proc.stderr)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda text: text.replace(b"\t", b"\t\xff", 1),
+        lambda text: text.replace(b"T=", b"T=x", 1),
+        lambda text: text.replace(b"\t", b" ", 1),
+        lambda text: text.replace(b"/p0000_clean.ppm", b"", 1),
+    ], ids=["not-utf8", "bad-task-count", "two-fields", "directory-path"])
+    def test_corrupted_manifest_is_1_without_traceback(self, mini, tmp_path, corrupt):
+        manifest = mini["data"] / "test.manifest"
+        bad = mini["data"] / f"bad_{tmp_path.name}.manifest"
+        bad.write_bytes(corrupt(manifest.read_bytes()))
+        try:
+            proc = run_in_subprocess("eval", "--data", bad, "--ckpt", mini["base"],
+                                     "--strategy", "oracle")
+        finally:
+            bad.unlink()
+        assert proc.returncode == 1
+        assert_one_error_line(proc.stderr)
+
     def test_invalid_weights_is_1(self, mini, tmp_path, capsys):
         img = tmp_path / "x.ppm"
         write_ppm(img, Tensor(np.zeros((3, 32, 32), np.float32)))
@@ -216,6 +248,16 @@ class TestRestoreCommand:
         img_path = next((mini["data"] / "test").rglob("*_degraded.ppm"))
         assert run("restore", "--ckpt", mini["base"], "--input", img_path,
                    "--output", tmp_path / "y.ppm", "--auto") == 1
+
+    @pytest.mark.parametrize("size", [(16, 16), (16, 48)], ids=["16x16", "16x48"])
+    def test_auto_routes_an_image_smaller_than_the_router_patch(self, mini, tmp_path,
+                                                                 capsys, size):
+        img = tmp_path / "small.ppm"
+        write_ppm(img, gen_clean_image(3, size))
+        assert run("restore", "--ckpt", mini["base"], "--input", img, "--output",
+                   tmp_path / "y.ppm", "--auto", "--router", mini["router"], "-K", "2") == 0
+        assert "routed weights" in capsys.readouterr().out
+        assert read_ppm(tmp_path / "y.ppm").dims == (3, *size)
 
     def test_auto_default_k_is_1(self, mini, tmp_path, capsys):
         img_path = next((mini["data"] / "test").rglob("*_degraded.ppm"))

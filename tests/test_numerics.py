@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lorex import numerics
 from lorex.errors import ConfigError, NumericError, ShapeError
 from lorex.numerics import (
     Adam,
@@ -28,6 +29,7 @@ from lorex.numerics import (
     sub,
     sum_all,
     transpose2d,
+    upsample_conv2d,
     upsample_nearest2,
 )
 
@@ -184,6 +186,91 @@ class TestConvDataGradient:
         ref = col2im_pull_x(g, kernel.data, x.dims, stride, pad)
         assert dx.shape == x.dims
         assert np.abs(dx - ref).max() <= 1e-5 * np.abs(ref).max()
+
+
+class TestUpsampleConv2d:
+    """``upsample_conv2d`` against the composition it replaces:
+    ``conv2d(concat_channels([upsample_nearest2(low), skip]))``."""
+
+    @staticmethod
+    def _both(low, skip, kernel, g):
+        # output and (low, skip, kernel) gradients of <out, g>, fused and composed
+        results = []
+        for fused in (True, False):
+            tape = GradTape()
+            if fused:
+                out = upsample_conv2d(low, skip, kernel, tape)
+            else:
+                cat = concat_channels([upsample_nearest2(low, tape), skip], tape)
+                out = conv2d(cat, kernel, "same", 1, tape)
+            loss = sum_all(mul(out, g, tape), tape)
+            results.append([out.data, *tape.gradients(loss, [low, skip, kernel])])
+        return results
+
+    @pytest.mark.parametrize("extent", [(1, 2), (3, 5), (4, 4)])
+    @pytest.mark.parametrize("skip_channels", [3, 32])
+    def test_matches_upsample_concat_conv(self, extent, skip_channels, rng):
+        h, w = extent
+        low = Tensor(rng.standard_normal((2, 5, h, w)).astype(np.float32))
+        skip = Tensor(rng.standard_normal((2, skip_channels, 2 * h, 2 * w)).astype(np.float32))
+        kernel = Tensor(rng.standard_normal((4, 5 + skip_channels, 3, 3)).astype(np.float32))
+        g = Tensor(rng.standard_normal((2, 4, 2 * h, 2 * w)).astype(np.float32))
+        fused, composed = self._both(low, skip, kernel, g)
+        for name, got, want in zip(("out", "low", "skip", "kernel"), fused, composed):
+            assert got.shape == want.shape, name
+            assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max(), name
+
+    @pytest.mark.parametrize("wrt", ["low", "kernel"])
+    def test_finite_difference(self, wrt):
+        worst = 0.0
+        for trial in range(20):
+            rng = np.random.default_rng(9500 + trial)
+            args = {"low": Tensor(away_from_zero(rng, (1, 2, 2, 3))),
+                    "skip": Tensor(away_from_zero(rng, (1, 2, 4, 6))),
+                    "kernel": Tensor(away_from_zero(rng, (3, 4, 3, 3)) * 0.5)}
+            w = Tensor(rng.standard_normal((1, 3, 4, 6)).astype(np.float32))
+
+            def f(p, tape):
+                return weighted_sum(upsample_conv2d(**{**args, wrt: p}, tape=tape), w, tape)
+            worst = max(worst, finite_difference_check(f, args[wrt], eps=1e-3))
+        assert worst <= FD_TOL
+
+    def test_per_image_kernels_match_each_image_bit_for_bit(self, rng):
+        low = Tensor(rng.standard_normal((3, 6, 4, 5)).astype(np.float32))
+        skip = Tensor(rng.standard_normal((3, 3, 8, 10)).astype(np.float32))
+        kernels = rng.standard_normal((3, 4, 9, 3, 3)).astype(np.float32)
+        out = upsample_conv2d(low, skip, Tensor(kernels))
+        for i in range(3):
+            alone = upsample_conv2d(Tensor(low.data[i:i + 1]), Tensor(skip.data[i:i + 1]),
+                                    Tensor(kernels[i]))
+            assert out.data[i:i + 1].tobytes() == alone.data.tobytes()
+
+    def test_unreachable_skip_gets_no_data_gradient(self, rng, monkeypatch):
+        low = Tensor(rng.standard_normal((1, 2, 3, 3)).astype(np.float32))
+        skip = Tensor(rng.standard_normal((1, 3, 6, 6)).astype(np.float32))
+        kernel = Tensor(rng.standard_normal((2, 5, 3, 3)).astype(np.float32))
+        calls = []
+        data_grad = numerics._conv_data_grad
+        monkeypatch.setattr(numerics, "_conv_data_grad",
+                            lambda *args: calls.append(1) or data_grad(*args))
+        tape = GradTape()
+        loss = sum_all(upsample_conv2d(low, skip, kernel, tape), tape)
+        tape.gradients(loss, [low, kernel])
+        assert calls == []
+        tape.gradients(loss, [skip])
+        assert calls == [1]
+
+    def test_shape_contracts(self, rng):
+        low = Tensor(np.ones((2, 2, 3, 3), np.float32))
+        skip = Tensor(np.ones((2, 1, 6, 6), np.float32))
+        for bad_skip, kernel_dims in (((2, 1, 6, 5), (4, 3, 3, 3)), ((1, 1, 6, 6), (4, 3, 3, 3)),
+                                      ((2, 1, 6, 6), (4, 2, 3, 3)), ((2, 1, 6, 6), (4, 3, 5, 5)),
+                                      ((2, 1, 6, 6), (3, 4, 3, 3, 3))):
+            with pytest.raises(ShapeError):
+                upsample_conv2d(low, Tensor(np.ones(bad_skip, np.float32)),
+                                Tensor(np.ones(kernel_dims, np.float32)))
+        with pytest.raises(ConfigError):
+            upsample_conv2d(low, skip, Tensor(np.ones((2, 4, 3, 3, 3), np.float32)), GradTape())
 
 
 class TestLeakyRelu:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lorex import persist, restorer
+from lorex import lora, numerics, persist, restorer
 from lorex.degradations import DatasetManifest, TaskRecord, gen_clean_image, read_ppm, write_ppm
 from lorex.errors import ConfigError, DataError, ShapeError
 from lorex.harness import evaluate_restoration, strategy_weight_fn
@@ -123,6 +123,56 @@ class TestForward:
         model = build_model(LABELS, seed=2)
         x = Tensor(rng.random((3, 64, 64), dtype=np.float32))
         assert restore(model, x, np.zeros(3, np.float32)).dims == (3, 64, 64)
+
+
+class TestDecoderPath:
+    """Decoder layers take the pair (low, skip) and run upsample_conv2d."""
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        calls = []
+        wrapped = lora.upsample_conv2d
+        monkeypatch.setattr(lora, "upsample_conv2d",
+                            lambda *args, **kw: calls.append(args[1].dims) or wrapped(*args, **kw))
+        return calls
+
+    def test_every_forward_runs_the_decoder_through_upsample_conv2d(self, rng, monkeypatch):
+        model = build_model(LABELS, seed=3)
+        randomize_adapters(model, rng)
+        x = rng.random((2, 3, 32, 32), dtype=np.float32)
+        s = np.asarray([0.5, 0.0, 0.5], np.float32)
+        skips = [(2, 32, 8, 8), (2, 16, 16, 16), (2, 3, 32, 32)]
+        calls = self._count_calls(monkeypatch)
+        runs = {
+            "untaped": lambda: forward(model, Tensor(x), s),
+            "taped": lambda: forward(model, Tensor(x), s, GradTape()),
+            "merged": lambda: forward(model, Tensor(x), s, merged=True),
+            "per-image": lambda: forward(model, Tensor(x), np.stack([s, s[::-1] * 0.5])),
+        }
+        for name, run in runs.items():
+            calls.clear()
+            run()
+            assert calls == skips, name
+        # the aggregation reference: one base conv plus one per active adapter
+        with monkeypatch.context() as m:
+            m.setattr(restorer, "adapted_forward", aggregated_forward)
+            calls.clear()
+            forward(model, Tensor(x), s)
+        assert calls == [dims for dims in skips for _ in range(3)]
+
+    def test_training_step_skips_the_raw_image_data_gradient(self, rng, monkeypatch):
+        # dec3's skip connection is the input image, which reaches no
+        # parameter: no conv data gradient may be computed for it. At full
+        # resolution only the head's 16-channel input needs one.
+        model = build_model(LABELS, seed=3)
+        trainer = AdapterTrainer(model, 1, random_task(rng, "t1", n=4), TrainConfig(batch_size=2))
+        shapes = []
+        data_grad = numerics._conv_data_grad
+        monkeypatch.setattr(numerics, "_conv_data_grad", lambda g, kernel, h, w, *rest: (
+            shapes.append((kernel.shape[1], h, w)) or data_grad(g, kernel, h, w, *rest)))
+        trainer.step()
+        assert [c for c, h, w in shapes if (h, w) == (32, 32)] == [16]
+        assert all(c != 3 for c, _, _ in shapes)
 
 
 class TestPerImageWeights:

@@ -182,10 +182,22 @@ class TestCropCorrection:
         r2 = predict_with_crop_correction(state, img, 1)
         assert r1.s_o.tobytes() == r2.s_o.tobytes()
 
-    def test_image_smaller_than_patch_rejected(self):
-        state = build_router(["a"], seed=5)
-        with pytest.raises(ShapeError):
-            predict_with_crop_correction(state, gen_clean_image(1, (16, 16)), 1)
+    def test_image_smaller_than_patch_scores_its_resized_view(self, monkeypatch):
+        # no crop fits, so the crop view is the resized view: one encode,
+        # and the result is plain predict on the resized image
+        state = build_router(["a", "b", "c"], seed=5)
+        calls = []
+        encode = router._encode_batch
+        monkeypatch.setattr(router, "_encode_batch",
+                            lambda *args: calls.append(1) or encode(*args))
+        for size in ((16, 16), (16, 48), (48, 16)):
+            img = gen_clean_image(1, size)
+            plain = predict(state, resize_bilinear(img, state.patch), 2)
+            calls.clear()
+            corrected = predict_with_crop_correction(state, img, 2)
+            assert len(calls) == 1
+            for field in ("s_o", "mask", "s"):
+                assert getattr(plain, field).tobytes() == getattr(corrected, field).tobytes()
 
     def test_resize_identity_when_same_size(self):
         img = gen_clean_image(3, (32, 32))
@@ -248,12 +260,12 @@ class TestTrainRouter:
 class TestRoutingAccuracy:
     SIZES = ((32, 32), (48, 40), (64, 64), (40, 56))
 
-    def _manifest(self, tmp_path, tasks):
+    def _manifest(self, tmp_path, tasks, sizes=SIZES):
         records = []
         for t, task in enumerate(tasks):
             pairs = []
             for i in range(6):
-                clean = gen_clean_image(100 * t + i, self.SIZES[i % len(self.SIZES)])
+                clean = gen_clean_image(100 * t + i, sizes[i % len(sizes)])
                 degraded = apply_degradation(
                     clean, DegradationSpec(task.kind, task.params, seed=i))
                 paths = (tmp_path / f"{task.label}_{i}_c.ppm", tmp_path / f"{task.label}_{i}_d.ppm")
@@ -286,14 +298,19 @@ class TestRoutingAccuracy:
             total += len(task.pairs)
         return hits / total, per_task, preds
 
-    def test_batched_equals_per_image_reference(self, tmp_path):
-        tasks = DEFAULT_TASKS[:3]
-        manifest = self._manifest(tmp_path, tasks)
+    @staticmethod
+    def _trained_router(tasks):
         state = build_router([t.label for t in tasks], seed=3)
         train_router(state, [(task.label, [
             apply_degradation(gen_clean_image(500 + i, (32, 32)),
                               DegradationSpec(task.kind, task.params, seed=i))
             for i in range(8)]) for task in tasks], TrainConfig(iterations=60, batch_size=8))
+        return state
+
+    def test_batched_equals_per_image_reference(self, tmp_path):
+        tasks = DEFAULT_TASKS[:3]
+        manifest = self._manifest(tmp_path, tasks)
+        state = self._trained_router(tasks)
         refs = {}
         for corrected in (True, False):
             acc, per_task, preds = self._reference(state, manifest, corrected)
@@ -301,6 +318,16 @@ class TestRoutingAccuracy:
             refs[corrected] = preds
         # the crops change some predictions, so both modes are exercised
         assert refs[True] != refs[False]
+
+    def test_images_smaller_than_the_patch_are_scored(self, tmp_path):
+        # 16x16 and 16x48 images have no native crop: their crop view is the
+        # resized view, as in predict_with_crop_correction
+        tasks = DEFAULT_TASKS[:3]
+        manifest = self._manifest(tmp_path, tasks, sizes=((16, 16), (16, 48), (48, 40)))
+        state = self._trained_router(tasks)
+        for corrected in (True, False):
+            acc, per_task, _ = self._reference(state, manifest, corrected)
+            assert routing_accuracy(state, manifest, corrected) == (acc, per_task)
 
     def test_no_shared_label_rejected(self, tmp_path):
         manifest = self._manifest(tmp_path, DEFAULT_TASKS[:1])
