@@ -78,10 +78,9 @@ class _Options:
             seed=self.seed,
         )
 
-    def weight_fn(self, strategy: str, model, router, manual_s=None) -> harness.WeightFn:
-        return harness.strategy_weight_fn(strategy, model, router,
-                                          k=self.get("eval", "k", 1),
-                                          seed=self.seed, manual_s=manual_s)
+    def strategy(self, name: str, model, router, manual_s=None) -> harness.Strategy:
+        return harness.build_strategy(name, model, router, k=self.get("eval", "k", 1),
+                                      seed=self.seed, manual_s=manual_s)
 
 
 def _parse_list(text: str, cast, what: str) -> list:
@@ -196,13 +195,13 @@ def _eval_lines(results, prefix: str = "") -> tuple[list[str], list]:
 def cmd_eval(args) -> int:
     opt = _Options(args)
     model = persist.load_model(args.ckpt)
-    manifest = load_manifest(args.data)
     router = persist.load_router(args.router) if args.router else None
-    strategy = args.strategy or ("topk" if router is not None else "oracle")
+    name = args.strategy or ("topk" if router is not None else "oracle")
     manual = _parse_list(args.s, float, "weight vector") if args.s else None
-    fn = opt.weight_fn(strategy, model, router, manual)
-    results = harness.evaluate_restoration(model, manifest, fn)
-    lines, rows = _eval_lines(results)
+    strategy = opt.strategy(name, model, router, manual)
+    manifest = load_manifest(args.data)
+    results = harness.evaluate_restoration(model, manifest, {name: strategy})
+    lines, rows = _eval_lines(results[name])
     _emit(lines, args.out)
     print(format_table(rows))
     return 0
@@ -210,21 +209,24 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate_routing(args) -> int:
     opt = _Options(args)
-    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    if not strategies:
+    names = [s.strip() for s in args.strategies.split(",") if s.strip()]
+    if not names:
         raise ConfigError(f"--strategies {args.strategies!r} names no strategy")
+    repeated = [name for i, name in enumerate(names) if name in names[:i]]
+    if repeated:
+        raise ConfigError(f"--strategies names {repeated[0]!r} more than once")
     model = persist.load_model(args.ckpt)
     router = persist.load_router(args.router)
+    strategies = {name: opt.strategy(name, model, router) for name in names}
     manifest = load_manifest(args.data)
+    results = harness.evaluate_restoration(model, manifest, strategies, with_baseline=False)
     lines, rows = [], []
-    for strategy in strategies:
-        fn = opt.weight_fn(strategy, model, router)
-        results = harness.evaluate_restoration(model, manifest, fn, with_baseline=False)
-        s_lines, s_rows = _eval_lines(results, prefix=f"{strategy}/")
+    for name in names:
+        s_lines, s_rows = _eval_lines(results[name], prefix=f"{name}/")
         lines.extend(s_lines)
         rows.extend(s_rows)
-        mean_psnr = float(np.mean([r["psnr"].mean for r in results.values()]))
-        lines.append(f"{strategy}/ALL\tpsnr\t{mean_psnr:.6f}\t0.000000")
+        mean_psnr = float(np.mean([r["psnr"].mean for r in results[name].values()]))
+        lines.append(f"{name}/ALL\tpsnr\t{mean_psnr:.6f}\t0.000000")
     _emit(lines, args.out)
     print(format_table(rows))
     return 0

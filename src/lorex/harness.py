@@ -1,19 +1,32 @@
-"""Stage defaults and evaluation machinery shared by the CLI and the tests."""
+"""Stage defaults and evaluation machinery shared by the CLI and the tests.
+
+``evaluate_restoration`` scores several composition strategies in one
+pass over a manifest. Consecutive same-size pairs of a task form a chunk
+of at most ``CHUNK_PIXELS`` pixels, and what does not depend on the
+strategy is done once per chunk: each image is read once, the degraded
+images are routed at most once (one batched crop-corrected encode, whose
+scores every router strategy shares), and the clean images' SSIM
+statistics are filtered once. What stays per strategy is the chunk's
+(N, T) weight rows, one forward that restores the chunk with one row per
+image, and one batched SSIM. Every score equals that of restoring and
+scoring the image alone, bit for bit, so a report does not depend on which
+strategies share the pass.
+"""
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import seeding
 from .degradations import DatasetManifest, read_ppm
-from .errors import ConfigError
-from .metrics import MetricReport, psnr, ssim
+from .errors import ConfigError, DataError
+from .metrics import MetricReport, psnr, ssim_chunk, ssim_reference
 from .numerics import DTYPE, Tensor
 from .restorer import RestorerModel, TaskData, TrainConfig, restore
-from .router import RouterState, _crop_view, _encode_batch, predict_with_crop_correction, \
-    resize_bilinear
+from .router import RouterState, crop_corrected_scores, topk_reallocate
 
 # pretraining and router schedules; TrainConfig() is the expert
 # stage, a 40x scale-down of an 80K-iteration recipe whose hotter learning
@@ -41,50 +54,104 @@ def router_training_set(manifest: DatasetManifest) -> list[tuple[str, list[Tenso
 WeightFn = Callable[[Tensor, str, int], np.ndarray]
 
 
-def strategy_weight_fn(strategy: str, model: RestorerModel,
-                       router: RouterState | None = None, k: int | None = None,
-                       seed: int = 0, manual_s: Sequence[float] | None = None) -> WeightFn:
-    """Per-image composition weights for one evaluation strategy.
+@dataclass
+class Chunk:
+    """Consecutive same-size degraded images of one task, as every strategy
+    of an evaluation pass sees them."""
+
+    label: str
+    first: int                  # the first image's index within its task
+    images: np.ndarray          # (N, 3, H, W)
+    _routed: tuple | None = field(default=None, repr=False)
+
+    def scores(self, router: RouterState) -> np.ndarray:
+        """The images' crop-corrected similarities (N, T), encoded on first use."""
+        if self._routed is None or self._routed[0] is not router:
+            images = [Tensor._wrap(image) for image in self.images]
+            self._routed = (router, crop_corrected_scores(router, images))
+        return self._routed[1]
+
+
+@dataclass(frozen=True)
+class Strategy:
+    """How one strategy composes the experts: ``weights(chunk)`` gives each
+    image of the chunk its weight row, (N, T). ``tasks`` lists the task
+    labels it can weight, or is None for any."""
+
+    weights: Callable[[Chunk], np.ndarray]
+    tasks: tuple[str, ...] | None = None
+
+    def check(self, name: str, labels) -> None:
+        """Reject task labels this strategy cannot weight."""
+        for label in labels:
+            if self.tasks is not None and label not in self.tasks:
+                raise ConfigError(f"{name} strategy: {label!r} is not a trained task")
+
+
+def build_strategy(name: str, model: RestorerModel, router: RouterState | None = None,
+                   k: int | None = None, seed: int = 0,
+                   manual_s: Sequence[float] | None = None) -> Strategy:
+    """One evaluation strategy, checked before any image is seen.
 
     random: one expert one-hot, drawn per image. average: uniform over all
-    experts. top1/top2/topk/all: router similarity with the given K.
-    oracle: one-hot at the image's true task. manual: a fixed user vector.
+    experts. top1/top2/topk/all: router similarity with K = 1, 2, ``k`` or
+    T. oracle: one-hot at the image's true task. manual: a fixed user vector.
     A router whose label order differs from the model's is rejected.
     """
     if router is not None and router.labels != model.labels:
         raise ConfigError("router and model label order disagree")
     t = model.t
 
-    if strategy == "average":
-        uniform = np.full(t, 1.0 / t, DTYPE)
-        return lambda img, label, idx: uniform
-    if strategy == "random":
-        def fn(img, label, idx):
-            s = np.zeros(t, DTYPE)
-            s[seeding.stream(seed, "random-expert", label, idx).integers(0, t)] = 1.0
-            return s
-        return fn
-    if strategy == "oracle":
-        def fn(img, label, idx):
-            if label not in model.labels:
-                raise ConfigError(f"oracle strategy: {label!r} is not a trained task")
-            s = np.zeros(t, DTYPE)
-            s[model.labels.index(label)] = 1.0
-            return s
-        return fn
-    if strategy == "manual":
+    def same_row(row):
+        return Strategy(lambda chunk: np.tile(row, (len(chunk.images), 1)))
+
+    if name == "average":
+        return same_row(np.full(t, 1.0 / t, DTYPE))
+    if name == "manual":
         if manual_s is None:
             raise ConfigError("manual strategy requires an explicit weight vector")
         fixed = np.asarray(manual_s, DTYPE)
-        return lambda img, label, idx: fixed
-    if strategy in ("top1", "top2", "topk", "all"):
+        if fixed.shape != (t,):
+            raise ConfigError(f"manual weight vector length {fixed.size} != task count {t}")
+        return same_row(fixed)
+    if name == "random":
+        def random_rows(chunk):
+            s = np.zeros((len(chunk.images), t), DTYPE)
+            for j, row in enumerate(s):
+                row[seeding.stream(seed, "random-expert", chunk.label,
+                                   chunk.first + j).integers(0, t)] = 1.0
+            return s
+        return Strategy(random_rows)
+    if name == "oracle":
+        def oracle_rows(chunk):
+            s = np.zeros((len(chunk.images), t), DTYPE)
+            s[:, model.labels.index(chunk.label)] = 1.0
+            return s
+        return Strategy(oracle_rows, tasks=model.labels)
+    if name in ("top1", "top2", "topk", "all"):
         if router is None:
-            raise ConfigError(f"strategy {strategy!r} requires a router")
-        kk = {"top1": 1, "top2": 2, "all": t}.get(strategy, k)
+            raise ConfigError(f"strategy {name!r} requires a router")
+        kk = {"top1": 1, "top2": 2, "all": t}.get(name, k)
         if kk is None:
             raise ConfigError("strategy 'topk' requires an explicit K")
-        return lambda img, label, idx: predict_with_crop_correction(router, img, kk).s
-    raise ConfigError(f"unknown strategy {strategy!r}")
+        if not isinstance(kk, (int, np.integer)) or not 1 <= kk <= t:
+            raise ConfigError(f"strategy {name!r}: K must be in [1, {t}], got {kk!r}")
+        return Strategy(lambda chunk: np.stack(
+            [topk_reallocate(row, kk).s for row in chunk.scores(router)]))
+    raise ConfigError(f"unknown strategy {name!r}")
+
+
+def strategy_weight_fn(strategy: str, model: RestorerModel,
+                       router: RouterState | None = None, k: int | None = None,
+                       seed: int = 0, manual_s: Sequence[float] | None = None) -> WeightFn:
+    """Per-image composition weights, ``fn(image, label, index)`` -> (T,):
+    the one-image case of ``build_strategy``."""
+    built = build_strategy(strategy, model, router, k, seed, manual_s)
+
+    def fn(img, label, idx):
+        built.check(strategy, (label,))
+        return built.weights(Chunk(label, idx, img.data[None]))[0]
+    return fn
 
 
 # pixels restored per forward: four 32x32 images. Larger chunks add little
@@ -93,69 +160,65 @@ def strategy_weight_fn(strategy: str, model: RestorerModel,
 CHUNK_PIXELS = 4096
 
 
-def _read_in_chunks(pairs):
-    # (clean, degraded) images of consecutive same-size pairs, at most
-    # CHUNK_PIXELS per chunk, so only one chunk is held in memory
-    chunk: list[tuple[Tensor, Tensor]] = []
-    for clean_path, degraded_path in pairs:
-        clean, degraded = read_ppm(clean_path), read_ppm(degraded_path)
-        _, h, w = degraded.dims
-        if chunk and (degraded.dims != chunk[0][1].dims
-                      or (len(chunk) + 1) * h * w > CHUNK_PIXELS):
-            yield chunk
-            chunk = []
-        chunk.append((clean, degraded))
-    if chunk:
-        yield chunk
+def _read_in_chunks(task) -> Iterator[tuple[Chunk, np.ndarray]]:
+    # each pair read once; consecutive same-size pairs form a chunk of at
+    # most CHUNK_PIXELS pixels, so only one chunk is held in memory. Yields
+    # each chunk with its clean images.
+    def chunk(first, pairs):
+        return (Chunk(task.label, first, np.stack([d for _, d in pairs])),
+                np.stack([c for c, _ in pairs]))
+
+    pairs: list[tuple[np.ndarray, np.ndarray]] = []
+    first = 0
+    for clean_path, degraded_path in task.pairs:
+        clean, degraded = read_ppm(clean_path).data, read_ppm(degraded_path).data
+        if clean.shape != degraded.shape:
+            raise DataError(f"{degraded_path} is {degraded.shape[1]}x{degraded.shape[2]} "
+                            f"but its clean image is {clean.shape[1]}x{clean.shape[2]}")
+        _, h, w = degraded.shape
+        if pairs and (degraded.shape != pairs[0][1].shape
+                      or (len(pairs) + 1) * h * w > CHUNK_PIXELS):
+            yield chunk(first, pairs)
+            first += len(pairs)
+            pairs = []
+        pairs.append((clean, degraded))
+    if pairs:
+        yield chunk(first, pairs)
 
 
 def evaluate_restoration(model: RestorerModel, manifest: DatasetManifest,
-                         weight_fn: WeightFn,
-                         with_baseline: bool = True) -> dict[str, dict[str, MetricReport]]:
-    """Restore every test pair and score it; returns task -> metric -> report.
+                         strategies: Mapping[str, Strategy], with_baseline: bool = True
+                         ) -> dict[str, dict[str, dict[str, MetricReport]]]:
+    """Restore every test pair under every strategy and score it, in one
+    pass (see the module docstring); returns strategy -> task -> metric ->
+    report.
 
-    Consecutive same-size pairs are restored in chunks of at most
-    ``CHUNK_PIXELS`` pixels: ``weight_fn`` gives each degraded image its
-    weight vector, and one forward restores the chunk with one weight row
-    per image. Every value equals that of restoring the image alone.
-    Metrics: restored psnr/ssim plus (optionally) the degraded input's
-    psnr_degraded baseline.
+    Every strategy is checked against the manifest's labels before any
+    image is read. Metrics: restored psnr/ssim plus (optionally) the
+    degraded input's psnr_degraded baseline, computed once per pair.
     """
-    results: dict[str, dict[str, MetricReport]] = {}
+    for name, strategy in strategies.items():
+        strategy.check(name, manifest.labels)
+    results: dict[str, dict[str, dict[str, MetricReport]]] = {name: {} for name in strategies}
     for task in manifest.tasks:
-        psnrs, ssims, base = [], [], []
-        for chunk in _read_in_chunks(task.pairs):
-            weights = [weight_fn(degraded, task.label, len(psnrs) + j)
-                       for j, (_, degraded) in enumerate(chunk)]
-            restored = restore(model, Tensor._wrap(np.stack([d.data for _, d in chunk])),
-                               np.stack(weights))
-            for (clean, degraded), out in zip(chunk, restored.data):
-                psnrs.append(psnr(out, clean))
-                ssims.append(ssim(out, clean))
-                if with_baseline:
-                    base.append(psnr(degraded, clean))
-        reports = {"psnr": MetricReport(psnrs), "ssim": MetricReport(ssims)}
-        if with_baseline:
-            reports["psnr_degraded"] = MetricReport(base)
-        results[task.label] = reports
+        values = {name: ([], []) for name in strategies}
+        base = []
+        for chunk, clean in _read_in_chunks(task):
+            reference = ssim_reference(clean)
+            for name, strategy in strategies.items():
+                restored = restore(model, Tensor._wrap(chunk.images),
+                                   strategy.weights(chunk)).data
+                psnrs, ssims = values[name]
+                psnrs.extend(psnr(out, c) for out, c in zip(restored, clean))
+                ssims.extend(ssim_chunk(restored, reference))
+            if with_baseline:
+                base.extend(psnr(d, c) for d, c in zip(chunk.images, clean))
+        for name, (psnrs, ssims) in values.items():
+            reports = {"psnr": MetricReport(psnrs), "ssim": MetricReport(ssims)}
+            if with_baseline:
+                reports["psnr_degraded"] = MetricReport(base)
+            results[name][task.label] = reports
     return results
-
-
-def _routing_scores(router: RouterState, images: list[Tensor], corrected: bool) -> np.ndarray:
-    # (N, T) similarities, as predict_with_crop_correction scores each image:
-    # one encode of the stacked resized views and, if corrected, one of the
-    # native crops of the images that have one (where the crop view is the
-    # resized view, the score stays as it is)
-    resized = np.stack([resize_bilinear(img, router.patch).data for img in images])
-    scores = _encode_batch(router, resized).data @ router.bank.data
-    if corrected:
-        views = [_crop_view(img, router.patch) for img in images]
-        big = [i for i, view in enumerate(views) if view is not None]
-        if big:
-            crops = np.stack([views[i].data for i in big])
-            crop_scores = _encode_batch(router, crops).data @ router.bank.data
-            scores[big] = (scores[big] + crop_scores) * DTYPE(0.5)
-    return scores
 
 
 def routing_accuracy(router: RouterState, manifest: DatasetManifest,
@@ -165,7 +228,7 @@ def routing_accuracy(router: RouterState, manifest: DatasetManifest,
     ``corrected=False`` scores the resized view only; ``corrected=True``
     averages the resized and native-crop similarities first. Tasks whose
     label is not in the router vocabulary (mixed composites) are skipped.
-    Each task's views are encoded as one batch.
+    Each task's views are encoded as one batch (``crop_corrected_scores``).
     """
     per_task: dict[str, float] = {}
     total = hits = 0
@@ -174,7 +237,7 @@ def routing_accuracy(router: RouterState, manifest: DatasetManifest,
             continue
         truth = router.labels.index(task.label)
         images = [read_ppm(degraded_path) for _, degraded_path in task.pairs]
-        preds = np.argmax(_routing_scores(router, images, corrected), axis=1)
+        preds = np.argmax(crop_corrected_scores(router, images, corrected), axis=1)
         task_hits = int((preds == truth).sum())
         per_task[task.label] = task_hits / len(task.pairs)
         hits += task_hits

@@ -2,7 +2,10 @@
 
 SSIM uses the standard 11x11 Gaussian window (sigma 1.5), K1=0.01,
 K2=0.03, dynamic range 1, computed per channel over valid windows and
-averaged. PSNR of identical images is capped at 100 dB so reports stay
+averaged. ``ssim_chunk`` scores a chunk of images against references
+whose local statistics ``ssim_reference`` filtered once, so scoring
+several restorations of the same clean images filters the clean side
+once. PSNR of identical images is capped at 100 dB so reports stay
 finite. Internals run in float64.
 """
 
@@ -23,8 +26,7 @@ SSIM_K2 = 0.03
 
 
 def _as_array(x) -> np.ndarray:
-    data = x.data if isinstance(x, Tensor) else np.asarray(x)
-    return data.astype(np.float64)
+    return np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
 
 
 def psnr(a, b, max_val: float = 1.0) -> float:
@@ -50,8 +52,62 @@ def _gaussian_taps(size: int, sigma: float) -> np.ndarray:
 _TAPS = _gaussian_taps(SSIM_WINDOW, SSIM_SIGMA)
 
 
+def _filter(x: np.ndarray) -> np.ndarray:
+    # the Gaussian window over the last two axes, at valid positions only
+    window = np.lib.stride_tricks.sliding_window_view
+    x = window(x, SSIM_WINDOW, axis=-2) @ _TAPS
+    return window(x, SSIM_WINDOW, axis=-1) @ _TAPS
+
+
+@dataclass(frozen=True)
+class SsimReference:
+    """Reference images with their local statistics, filtered once and
+    reused by every ``ssim_chunk`` call against them."""
+
+    images: np.ndarray      # (N, C, H, W), as given
+    mu: np.ndarray          # local means, float64
+    mu_sq: np.ndarray       # mu * mu
+    var: np.ndarray         # local variances
+
+
+def ssim_reference(images) -> SsimReference:
+    """The reference side of ``ssim_chunk`` for (N, C, H, W) images."""
+    y = images.data if isinstance(images, Tensor) else np.asarray(images)
+    if y.ndim != 4:
+        raise ShapeError(f"ssim reference expects (N,C,H,W), got shape {y.shape}")
+    h, w = y.shape[2:]
+    if h < SSIM_WINDOW or w < SSIM_WINDOW:
+        raise ShapeError(f"image {h}x{w} smaller than SSIM window {SSIM_WINDOW}")
+    y64 = _as_array(y)
+    mu, yy = _filter(np.stack([y64, y64 * y64]))
+    mu_sq = mu * mu
+    return SsimReference(y, mu, mu_sq, yy - mu_sq)
+
+
+def ssim_chunk(images, reference: SsimReference) -> list[float]:
+    """Mean local structural similarity of each of (N, C, H, W) images to
+    the reference image with the same index; entry i equals
+    ``ssim(images[i], reference.images[i])`` bit for bit."""
+    # float64 x times y converts y exactly, so y need not be kept as float64
+    x, y = _as_array(images), reference.images
+    if x.shape != y.shape:
+        raise ShapeError(f"ssim shape mismatch: {x.shape} vs {y.shape}")
+    c1 = (SSIM_K1 * 1.0) ** 2
+    c2 = (SSIM_K2 * 1.0) ** 2
+    # local means of x, x^2 and xy for every image and channel in one pass
+    mu_x, xx, xy = _filter(np.stack([x, x * x, x * y]))
+    mu_y = reference.mu
+    mu_x_sq = mu_x * mu_x
+    sig_xy = xy - mu_x * mu_y
+    num = (2 * mu_x * mu_y + c1) * (2 * sig_xy + c2)
+    den = (mu_x_sq + reference.mu_sq + c1) * (xx - mu_x_sq + reference.var + c2)
+    # per channel, then over channels
+    return [float(v) for v in (num / den).mean(axis=(2, 3)).mean(axis=1)]
+
+
 def ssim(a, b) -> float:
-    """Mean local structural similarity over channels."""
+    """Mean local structural similarity over channels: the one-image case
+    of ``ssim_chunk``."""
     av, bv = _as_array(a), _as_array(b)
     if av.shape != bv.shape:
         raise ShapeError(f"ssim shape mismatch: {av.shape} vs {bv.shape}")
@@ -59,23 +115,7 @@ def ssim(a, b) -> float:
         av, bv = av[None], bv[None]
     if av.ndim != 3:
         raise ShapeError(f"ssim expects (C,H,W) or (H,W), got shape {av.shape}")
-    _, h, w = av.shape
-    if h < SSIM_WINDOW or w < SSIM_WINDOW:
-        raise ShapeError(f"image {h}x{w} smaller than SSIM window {SSIM_WINDOW}")
-
-    c1 = (SSIM_K1 * 1.0) ** 2
-    c2 = (SSIM_K2 * 1.0) ** 2
-    # local means of x, y, x^2, y^2 and xy for every channel in one filter pass
-    stats = np.stack([av, bv, av * av, bv * bv, av * bv])
-    window = np.lib.stride_tricks.sliding_window_view
-    stats = window(stats, SSIM_WINDOW, axis=2) @ _TAPS
-    mu_x, mu_y, xx, yy, xy = window(stats, SSIM_WINDOW, axis=3) @ _TAPS
-    sig_x = xx - mu_x * mu_x
-    sig_y = yy - mu_y * mu_y
-    sig_xy = xy - mu_x * mu_y
-    num = (2 * mu_x * mu_y + c1) * (2 * sig_xy + c2)
-    den = (mu_x * mu_x + mu_y * mu_y + c1) * (sig_x + sig_y + c2)
-    return float(np.mean([np.mean(m) for m in num / den]))
+    return ssim_chunk(av[None], ssim_reference(bv[None]))[0]
 
 
 @dataclass

@@ -209,6 +209,35 @@ def _crop_view(image: Tensor, patch: tuple[int, int]) -> Tensor | None:
     return center_crop(image, patch)
 
 
+def crop_corrected_scores(state: RouterState, images, corrected: bool = True) -> np.ndarray:
+    """(N, T) similarities of (3, H, W) images, as crop correction scores
+    them: the mean of the resized view's and the native center crop's
+    scores (only the resized view's where the crop view is the resized
+    view, or with ``corrected=False``).
+
+    Every view is encoded in one batch, and each is scored by its own
+    (1, Z) @ bank product, so row i is bit for bit what encoding image i's
+    views alone and scoring them with ``similarity`` gives.
+    """
+    views, cropped = [], []
+    for image in images:
+        if image.data.ndim != 3:
+            raise ShapeError(f"expected (3,H,W), got {image.dims}")
+        views.append(resize_bilinear(image, state.patch).data)
+    if corrected:
+        for i, image in enumerate(images):
+            crop = _crop_view(image, state.patch)
+            if crop is not None:
+                cropped.append(i)
+                views.append(crop.data)
+    d = _encode_batch(state, np.stack(views)).data
+    scores = np.concatenate([d[i:i + 1] @ state.bank.data for i in range(len(d))])
+    n = len(images)
+    for j, i in enumerate(cropped):
+        scores[i] = (scores[i] + scores[n + j]) * DTYPE(0.5)
+    return scores[:n]
+
+
 def predict_with_crop_correction(state: RouterState, full_image: Tensor, k: int) -> RouterOutput:
     """Average the similarity of the resized image and of a native-scale
     center crop before Top-K reallocation.
@@ -218,17 +247,10 @@ def predict_with_crop_correction(state: RouterState, full_image: Tensor, k: int)
     views are the same pixels, and an input smaller than the patch in
     either extent has no crop, so its crop view is the resized view. Then
     this encodes once and returns plain ``predict`` of the resized view,
-    bit-identical since (s + s) * 0.5 == s in float32.
+    bit-identical since (s + s) * 0.5 == s in float32. A larger input
+    encodes its two views as one batch.
     """
-    if full_image.data.ndim != 3:
-        raise ShapeError(f"expected (3,H,W), got {full_image.dims}")
-    resized = resize_bilinear(full_image, state.patch)
-    crop = _crop_view(full_image, state.patch)
-    if crop is None:
-        return predict(state, resized, k)
-    s_resized = similarity(encode_degradation(state, resized), state.bank)
-    s_crop = similarity(encode_degradation(state, crop), state.bank)
-    return topk_reallocate((s_resized + s_crop) * DTYPE(0.5), k)
+    return topk_reallocate(crop_corrected_scores(state, [full_image])[0], k)
 
 
 def train_router(state: RouterState, dataset, config) -> RouterState:

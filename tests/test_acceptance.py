@@ -15,10 +15,10 @@ from lorex import persist, restorer
 from lorex.cli import main as cli_main
 from lorex.degradations import gen_clean_image, read_ppm
 from lorex.harness import (
+    build_strategy,
     evaluate_restoration,
     load_task_data,
     routing_accuracy,
-    strategy_weight_fn,
 )
 from lorex.lora import AdaptedLayer, LoraAdapter, adapted_forward, aggregated_forward, \
     merge_weights, merged_forward
@@ -354,13 +354,13 @@ def test_criterion_7_restoration_gain(dataset, trained_model, timings):
 @pytest.mark.heavy
 def test_criterion_8_routing_strategy_ordering(dataset, trained_model, trained_router):
     t0 = time.time()
-    means = {}
-    for strategy in ("random", "average", "top1", "all"):
-        fn = strategy_weight_fn(strategy, trained_model, trained_router,
-                                seed=MASTER_SEED)
-        results = evaluate_restoration(trained_model, dataset["test"], fn,
-                                       with_baseline=False)
-        means[strategy] = float(np.mean([r["psnr"].mean for r in results.values()]))
+    names = ("random", "average", "top1", "all")
+    strategies = {name: build_strategy(name, trained_model, trained_router, seed=MASTER_SEED)
+                  for name in names}
+    results = evaluate_restoration(trained_model, dataset["test"], strategies,
+                                   with_baseline=False)
+    means = {name: float(np.mean([r["psnr"].mean for r in results[name].values()]))
+             for name in names}
     elapsed = time.time() - t0
     ok = (means["top1"] >= means["average"] + 1.0
           and means["top1"] >= means["random"] + 1.0

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import lorex
-from lorex import persist
+from lorex import degradations, harness, persist
 from lorex.checkpoint import load_checkpoint, save_checkpoint
 from lorex.cli import main
 from lorex.degradations import gen_clean_image, load_manifest, read_ppm, write_ppm
@@ -234,6 +234,36 @@ class TestExitCodes:
                    "--strategies", ",", "--out", tmp_path / "ablate.tsv") == 1
         assert_one_error_line(capsys.readouterr().err)
         assert not (tmp_path / "ablate.tsv").exists()
+
+
+    @pytest.mark.parametrize("split,argv", [
+        ("test", ["ablate-routing", "--strategies", "top1,bogus"]),
+        ("test", ["ablate-routing", "--strategies", "top1,average,top1"]),
+        ("test", ["ablate-routing", "--strategies", "average,manual"]),
+        ("test", ["ablate-routing", "--strategies", "top1,topk", "-K", "0"]),
+        ("test", ["ablate-routing", "--strategies", "top1,topk", "-K", "6"]),
+        ("test", ["eval", "--strategy", "manual"]),
+        ("test", ["eval", "--strategy", "topk", "-K", "6"]),
+        ("mixed", ["ablate-routing", "--strategies", "top1,oracle"]),
+        ("mixed", ["eval", "--strategy", "oracle"]),
+    ], ids=["unknown", "repeated", "manual-without-vector", "topk-k-0", "topk-k-past-t",
+            "eval-manual-without-vector", "eval-topk-k-past-t", "oracle-unknown-label",
+            "eval-oracle-unknown-label"])
+    def test_bad_strategy_is_1_before_any_image_is_evaluated(self, mini, tmp_path, capsys,
+                                                             monkeypatch, split, argv):
+        def no_read(path):
+            raise AssertionError(f"read {path}")
+
+        # evaluation reads through harness; only the oracle check needs the
+        # manifest, whose loading verifies every file through degradations
+        monkeypatch.setattr(harness, "read_ppm", no_read)
+        if split == "test":
+            monkeypatch.setattr(degradations, "read_ppm", no_read)
+        out = tmp_path / "report.tsv"
+        assert run(*argv, "--data", mini["data"] / f"{split}.manifest", "--ckpt", mini["base"],
+                   "--router", mini["router"], "--out", out) == 1
+        assert_one_error_line(capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestRestoreCommand:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorex.degradations import DegradationSpec, apply_degradation, gen_clean_image
 from lorex.errors import ShapeError
@@ -12,6 +14,8 @@ from lorex.metrics import (
     psnr,
     report_line,
     ssim,
+    ssim_chunk,
+    ssim_reference,
 )
 from lorex.numerics import Tensor
 
@@ -124,6 +128,24 @@ class TestSsim:
         a = rng.random(shape)
         b = np.clip(a + 0.1 * rng.standard_normal(shape), 0, 1)
         assert abs(ssim(a, b) - ssim_2d_window_reference(a, b)) <= 1e-12
+
+    @settings(deadline=None)
+    @given(n=st.integers(1, 4), h=st.integers(11, 48), w=st.integers(11, 48),
+           seed=st.integers(0, 2**32 - 1))
+    def test_chunk_equals_one_image_at_a_time(self, n, h, w, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.random((n, 3, h, w), dtype=np.float32)
+        b = np.clip(a + rng.normal(0, 0.1, a.shape), 0, 1).astype(np.float32)
+        got = ssim_chunk(a, ssim_reference(b))
+        assert got == [ssim(a[i], b[i]) for i in range(n)]
+
+    def test_chunk_shapes_checked(self):
+        ref = ssim_reference(np.zeros((2, 3, 16, 16)))
+        with pytest.raises(ShapeError):
+            ssim_chunk(np.zeros((1, 3, 16, 16)), ref)
+        for bad in (np.zeros((3, 16, 16)), np.zeros((1, 3, 16, 8))):
+            with pytest.raises(ShapeError):
+                ssim_reference(bad)
 
     def test_undersized_image_rejected(self):
         with pytest.raises(ShapeError):

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from lorex import lora, numerics, persist, restorer
+from lorex import harness, lora, numerics, persist, restorer
+from lorex import router as router_module
 from lorex.degradations import DatasetManifest, TaskRecord, gen_clean_image, read_ppm, write_ppm
 from lorex.errors import ConfigError, DataError, ShapeError
-from lorex.harness import evaluate_restoration, strategy_weight_fn
+from lorex.harness import build_strategy, evaluate_restoration, strategy_weight_fn
 from lorex.lora import aggregated_forward, merge_weights
 from lorex.metrics import psnr, ssim
 from lorex.numerics import GradTape, Tensor
@@ -220,38 +221,111 @@ class TestPerImageWeights:
             forward(model, x, np.eye(3, dtype=np.float32)[:2], GradTape())
 
 
+def write_manifest_pairs(tmp_path, rng, labels, sizes):
+    """A manifest whose tasks each hold one noisy pair per size, in order."""
+    tasks = []
+    for t, label in enumerate(labels):
+        pairs = []
+        for i, size in enumerate(sizes):
+            clean = gen_clean_image(t * 100 + i, size)
+            degraded = Tensor(np.clip(clean.data + rng.normal(0, 0.1, clean.dims), 0, 1))
+            paths = (tmp_path / f"{label}{i}c.ppm", tmp_path / f"{label}{i}d.ppm")
+            write_ppm(paths[0], clean)
+            write_ppm(paths[1], degraded)
+            pairs.append(paths)
+        tasks.append(TaskRecord(label, pairs))
+    return DatasetManifest(tasks)
+
+
+def per_image_reference(model, manifest, fn):
+    """task -> metric -> values, restoring and scoring one image at a time."""
+    out = {}
+    for task in manifest.tasks:
+        want = {"psnr": [], "ssim": [], "psnr_degraded": []}
+        for idx, (clean_path, degraded_path) in enumerate(task.pairs):
+            clean, degraded = read_ppm(clean_path), read_ppm(degraded_path)
+            restored = restore(model, degraded, fn(degraded, task.label, idx))
+            want["psnr"].append(psnr(restored, clean))
+            want["ssim"].append(ssim(restored, clean))
+            want["psnr_degraded"].append(psnr(degraded, clean))
+        out[task.label] = want
+    return out
+
+
+def report_values(results):
+    return {label: {m: r.values for m, r in reports.items()}
+            for label, reports in results.items()}
+
+
 class TestEvaluateRestoration:
+    STRATEGIES = ("random", "average", "oracle", "manual", "top1", "top2", "topk", "all")
+
     def test_equals_per_image_loop(self, rng, tmp_path):
         # chunks of 4 + 1, 2 + 1 and 2 images: a chunk ends when it is full
         # and when the image size changes
         model = build_model(LABELS, seed=3)
         randomize_adapters(model, rng, scale=0.05)
         sizes = [(32, 32)] * 5 + [(40, 48)] * 3 + [(32, 32)] * 2
-        tasks = []
-        for label in ("t0", "t1"):
-            pairs = []
-            for i, size in enumerate(sizes):
-                clean = gen_clean_image(len(tasks) * 10 + i, size)
-                degraded = Tensor(np.clip(clean.data + rng.normal(0, 0.1, clean.dims), 0, 1))
-                paths = (tmp_path / f"{label}{i}c.ppm", tmp_path / f"{label}{i}d.ppm")
-                write_ppm(paths[0], clean)
-                write_ppm(paths[1], degraded)
-                pairs.append(paths)
-            tasks.append(TaskRecord(label, pairs))
-        manifest = DatasetManifest(tasks)
+        manifest = write_manifest_pairs(tmp_path, rng, ("t0", "t1"), sizes)
         router = build_router(LABELS, seed=4)
         for strategy in ("random", "average", "top2"):
+            got = evaluate_restoration(
+                model, manifest, {strategy: build_strategy(strategy, model, router, seed=5)})
             fn = strategy_weight_fn(strategy, model, router, seed=5)
-            got = evaluate_restoration(model, manifest, fn)
-            for task in manifest.tasks:
-                want = {"psnr": [], "ssim": [], "psnr_degraded": []}
-                for idx, (clean_path, degraded_path) in enumerate(task.pairs):
-                    clean, degraded = read_ppm(clean_path), read_ppm(degraded_path)
-                    out = restore(model, degraded, fn(degraded, task.label, idx))
-                    want["psnr"].append(psnr(out, clean))
-                    want["ssim"].append(ssim(out, clean))
-                    want["psnr_degraded"].append(psnr(degraded, clean))
-                assert {m: r.values for m, r in got[task.label].items()} == want
+            assert report_values(got[strategy]) == per_image_reference(model, manifest, fn)
+
+    def test_one_pass_equals_a_pass_per_strategy(self, rng, tmp_path, monkeypatch):
+        # patch-sized, larger (cropped by the router) and smaller images;
+        # seven chunks per task: 4 + 1 images of 32x32, then one chunk each
+        # of 1 64x64, 2 40x48, 4 16x16, 1 16x48 and 1 32x32
+        model = build_model(LABELS, seed=3)
+        randomize_adapters(model, rng, scale=0.05)
+        sizes = [(32, 32)] * 5 + [(64, 64), (40, 48), (40, 48)] + [(16, 16)] * 4 \
+            + [(16, 48), (32, 32)]
+        manifest = write_manifest_pairs(tmp_path, rng, LABELS, sizes)
+        router = build_router(LABELS, seed=4)
+        args = {"router": router, "k": 2, "seed": 5, "manual_s": [0.2, 0.0, 0.8]}
+        strategies = {name: build_strategy(name, model, **args) for name in self.STRATEGIES}
+        encodes = []
+        encode = router_module._encode_batch
+        monkeypatch.setattr(router_module, "_encode_batch",
+                            lambda *a: encodes.append(1) or encode(*a))
+        one_pass = evaluate_restoration(model, manifest, strategies)
+        # four router strategies, one encode per chunk
+        assert len(encodes) == 7 * len(LABELS)
+        for name in self.STRATEGIES:
+            alone = evaluate_restoration(model, manifest, {name: strategies[name]})
+            assert report_values(one_pass[name]) == report_values(alone[name])
+            fn = strategy_weight_fn(name, model, **args)
+            assert report_values(one_pass[name]) == per_image_reference(model, manifest, fn)
+
+    def test_oracle_checks_the_manifest_before_reading(self, rng, tmp_path, monkeypatch):
+        model = build_model(LABELS, seed=3)
+        manifest = write_manifest_pairs(tmp_path, rng, ("t0", "t0+t1"), [(32, 32)])
+        monkeypatch.setattr(harness, "read_ppm", lambda path: pytest.fail(f"read {path}"))
+        strategies = {"average": build_strategy("average", model),
+                      "oracle": build_strategy("oracle", model)}
+        with pytest.raises(ConfigError, match="'t0\\+t1' is not a trained task"):
+            evaluate_restoration(model, manifest, strategies)
+
+    def test_pair_of_two_sizes_rejected(self, rng, tmp_path):
+        model = build_model(LABELS, seed=3)
+        manifest = write_manifest_pairs(tmp_path, rng, ("t0",), [(32, 32)])
+        clean_path = manifest.tasks[0].pairs[0][0]
+        write_ppm(clean_path, gen_clean_image(0, (32, 40)))
+        with pytest.raises(DataError):
+            evaluate_restoration(model, manifest, {"average": build_strategy("average", model)})
+
+    @pytest.mark.parametrize("name,kwargs", [
+        ("bogus", {}), ("manual", {}), ("manual", {"manual_s": [0.5, 0.5]}),
+        ("topk", {"k": 0}), ("topk", {"k": 4}), ("topk", {}), ("top1", {"router": None}),
+    ], ids=["unknown", "manual-without-vector", "manual-short", "topk-0", "topk-past-t",
+            "topk-without-k", "top1-without-router"])
+    def test_build_strategy_rejects(self, name, kwargs):
+        model = build_model(LABELS, seed=3)
+        args = {"router": build_router(LABELS, seed=4), **kwargs}
+        with pytest.raises(ConfigError):
+            build_strategy(name, model, **args)
 
 
 class TestMergedEquivalence:

@@ -199,6 +199,37 @@ class TestCropCorrection:
             for field in ("s_o", "mask", "s"):
                 assert getattr(plain, field).tobytes() == getattr(corrected, field).tobytes()
 
+    def test_batched_scores_equal_the_per_image_formula(self, monkeypatch):
+        # the per-image formula: score the resized view and, where a native
+        # crop fits and differs from it, the center crop, then average
+        state = build_router(["a", "b", "c"], seed=5)
+        sizes = [(32, 32), (64, 64), (16, 16), (40, 48), (32, 32), (16, 48), (64, 64)]
+        images = [apply_degradation(gen_clean_image(20 + i, size),
+                                    DegradationSpec("gaussian_noise", {"sigma": 0.05}, i))
+                  for i, size in enumerate(sizes)]
+
+        def score(view):
+            return similarity(encode_degradation(state, view), state.bank)
+
+        calls = []
+        encode = router._encode_batch
+        monkeypatch.setattr(router, "_encode_batch",
+                            lambda *args: calls.append(1) or encode(*args))
+        got = router.crop_corrected_scores(state, images)
+        plain = router.crop_corrected_scores(state, images, corrected=False)
+        assert len(calls) == 2
+        for image, row, plain_row in zip(images, got, plain):
+            _, h, w = image.dims
+            want = score(resize_bilinear(image, state.patch))
+            assert plain_row.tobytes() == want.tobytes()
+            if (h, w) != state.patch and h >= state.patch[0] and w >= state.patch[1]:
+                want = (want + score(center_crop(image, state.patch))) * np.float32(0.5)
+            assert row.tobytes() == want.tobytes()
+            # one image alone: both of its views in one encode
+            calls.clear()
+            assert predict_with_crop_correction(state, image, 2).s_o.tobytes() == want.tobytes()
+            assert len(calls) == 1
+
     def test_resize_identity_when_same_size(self):
         img = gen_clean_image(3, (32, 32))
         assert resize_bilinear(img, (32, 32)) is img
