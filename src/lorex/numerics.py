@@ -12,8 +12,16 @@ a backward record; ``GradTape.gradients`` replays the records in reverse.
 A tape is single-owner and must not be shared across concurrent forward
 passes.
 
-Convolutions lower to one im2col gather and one GEMM. Their input
-gradient is convolutions too, not a scatter: input pixel
+Convolutions lower to one GEMM in one of two ways, chosen from shapes
+alone (``_shift_add``). Most gather im2col columns. A stride-1 conv with
+k > 1 and fewer output than input channels (the RGB head) runs
+shift-and-add instead (kn2row; Vasudevan et al. 2017, arXiv 1704.04428):
+the tap-stacked (k*k*C_out, C_in) kernel multiplies the zero-bordered
+input once, giving one plane per tap, and the k*k shifted windows of
+those planes sum to the output. Its gradients spread the output gradient
+over the same shifted planes.
+
+An im2col conv's input gradient is convolutions too, not a scatter: input pixel
 ``i = stride*q + p`` receives ``g[q + d]`` through tap
 ``u = p + pad - stride*d``, so each of the ``stride**2`` phases of the
 input grid is a stride-1 correlation of the zero-bordered output gradient
@@ -245,6 +253,67 @@ def _conv_data_grad(g: np.ndarray, kernel: np.ndarray, h: int, w: int,
     return dx
 
 
+def _shift_add(c_out: int, c_in: int, k: int, stride: int) -> bool:
+    # The lowering rule. Per output pixel, im2col writes C_in*k*k column
+    # floats to feed a GEMM of only C_out rows, while shift-and-add writes
+    # C_out*k*k tap-plane floats: fewer exactly when C_out < C_in (the
+    # 16->3 head, 27 floats instead of 144). Measured, shift-and-add loses
+    # whenever C_out >= C_in. It needs stride 1, and a 1x1 im2col is free.
+    return stride == 1 and k > 1 and c_out < c_in
+
+
+def _tap_rows(kernel: np.ndarray) -> np.ndarray:
+    # (..., C_out, C_in, k, k) -> (..., k*k*C_out, C_in), rows ordered (tap, C_out)
+    *lead, co, c, k, _ = kernel.shape
+    taps = np.moveaxis(kernel, (-2, -1), (len(lead), len(lead) + 1))
+    return np.ascontiguousarray(taps).reshape(*lead, k * k * co, c)
+
+
+def _conv_gemm(x4: np.ndarray, kernel: np.ndarray, stride: int, pad: int):
+    # The lowered conv of conv2d and conv2d_per_image: the output for a
+    # (C_out,C_in,k,k) kernel or one (N,C_out,C_in,k,k) kernel per image,
+    # and the lowered input the weight gradient reuses: im2col columns
+    # (N, C_in*k*k, OH*OW), or for shift-and-add the flattened
+    # zero-bordered input (N, C_in, Hp*Wp).
+    *lead, co, c, k, _ = kernel.shape
+    n = x4.shape[0]
+    if not _shift_add(co, c, k, stride):
+        cols, oh, ow = _im2col(x4, k, stride, pad)
+        return np.matmul(kernel.reshape(*lead, co, -1), cols).reshape(n, co, oh, ow), cols
+    xp = _zero_border(x4, pad) if pad else x4
+    hp, wp = xp.shape[2:]
+    oh, ow = hp - k + 1, wp - k + 1
+    flat = xp.reshape(n, c, hp * wp)
+    planes = np.matmul(_tap_rows(kernel), flat).reshape(n, k, k, co, hp, wp)
+    out = planes[:, 0, 0, :, :oh, :ow].copy()
+    for u in range(k):
+        for v in range(k):
+            if u or v:
+                out += planes[:, u, v, :, u:u + oh, v:v + ow]
+    return out, flat
+
+
+def _shift_add_data_grad(grid: np.ndarray, taps: np.ndarray, h: int, w: int,
+                         pad: int) -> np.ndarray:
+    # Input gradient of a shift-and-add conv from its spread output
+    # gradient (N, k*k*C_out, Hp*Wp): the bordered input's gradient is
+    # taps.T @ grid, cropped to the input.
+    n, c = grid.shape[0], taps.shape[1]
+    d = np.matmul(taps.T, grid).reshape(n, c, h + 2 * pad, w + 2 * pad)
+    return np.ascontiguousarray(d[:, :, pad:pad + h, pad:pad + w]) if pad else d
+
+
+def _once_per_g(build: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    # build(g), computed once for the g that every pull of one record receives
+    last = [None, None]
+
+    def get(g):
+        if last[0] is not g:
+            last[:] = g, build(g)
+        return last[1]
+    return get
+
+
 def _conv_geometry(x: Tensor, kernel_dims, padding: str, stride: int) -> tuple[int, int]:
     # validates one conv and returns its kernel size and zero padding
     if padding not in ("same", "valid"):
@@ -273,38 +342,65 @@ def conv2d(x: Tensor, kernel: Tensor, padding: str = "same", stride: int = 1,
     ``x`` is (N,C,H,W); ``kernel`` is (C_out,C_in,k,k) with k odd.
     ``same`` pads symmetrically with (k-1)/2 zeros, so stride 1 preserves
     H and W and stride 2 halves even extents.
+
+    The lowering follows from the shapes alone. A stride-1 conv with k > 1
+    and C_out < C_in runs shift-and-add: one GEMM of the (k*k*C_out, C_in)
+    tap-stacked kernel with the zero-bordered input, then a sum of the k*k
+    shifted windows of its planes in a fixed tap order. Every other conv
+    runs one GEMM on im2col columns. With a tape the same lowering computes
+    both gradients, so training and inference share one path per shape.
     """
     k, pad = _conv_geometry(x, kernel.dims, padding, stride)
     n, c, h, w = x.dims
-    cols, oh, ow = _im2col(x.data, k, stride, pad)
     co = kernel.dims[0]
-    wmat = kernel.data.reshape(co, -1)
-    out = Tensor._wrap(np.matmul(wmat, cols).reshape(n, co, oh, ow))
-    if tape is not None:
+    data, lowered = _conv_gemm(x.data, kernel.data, stride, pad)
+    out = Tensor._wrap(data)
+    if tape is None:
+        return out
+    oh, ow = data.shape[2:]
+    if _shift_add(co, c, k, stride):
+        hp, wp = h + 2 * pad, w + 2 * pad
+
+        def spread(g):
+            # g at the k*k shifted positions of the tap planes, (N, k*k*C_out, Hp*Wp)
+            grid = np.zeros((n, k, k, co, hp, wp), DTYPE)
+            for u in range(k):
+                for v in range(k):
+                    grid[:, u, v, :, u:u + oh, v:v + ow] = g
+            return grid.reshape(n, k * k * co, hp * wp)
+        spread = _once_per_g(spread)
+
+        def pull_x(g):
+            return _shift_add_data_grad(spread(g), _tap_rows(kernel.data), h, w, pad)
+
+        def pull_w(g):
+            gt = np.matmul(spread(g), lowered.transpose(0, 2, 1)).sum(axis=0)
+            return np.ascontiguousarray(gt.reshape(k, k, co, c).transpose(2, 3, 0, 1))
+    else:
         def pull_x(g):
             return _conv_data_grad(g, kernel.data, h, w, stride, pad)
 
         def pull_w(g):
             gmat = g.reshape(n, co, oh * ow)
-            gw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0)
+            gw = np.matmul(gmat, lowered.transpose(0, 2, 1)).sum(axis=0)
             return gw.reshape(kernel.dims)
 
-        tape.record(out, [(x, pull_x), (kernel, pull_w)])
+    tape.record(out, [(x, pull_x), (kernel, pull_w)])
     return out
 
 
 def conv2d_per_image(x: Tensor, kernels: np.ndarray, padding: str = "same",
                      stride: int = 1) -> Tensor:
     """``conv2d`` without a tape where image i runs on its own kernel
-    ``kernels[i]``, (N,C_out,C_in,k,k). Each image's GEMM is the one
-    ``conv2d`` runs for that image alone, so outputs are bit-identical."""
+    ``kernels[i]``, (N,C_out,C_in,k,k). It picks ``conv2d``'s lowering by
+    the same rule (shift-and-add for stride 1, k > 1 and C_out < C_in,
+    else im2col), and each image's GEMM and tap sum are the ones ``conv2d``
+    runs for that image alone, so outputs are bit-identical."""
     if kernels.ndim != 5 or kernels.shape[0] != x.dims[0]:
         raise ShapeError(f"kernels must be (N,C_out,C_in,k,k) for {x.dims[0]} images, "
                          f"got {kernels.shape}")
-    k, pad = _conv_geometry(x, kernels.shape[1:], padding, stride)
-    n, co = kernels.shape[:2]
-    cols, oh, ow = _im2col(x.data, k, stride, pad)
-    return Tensor._wrap(np.matmul(kernels.reshape(n, co, -1), cols).reshape(n, co, oh, ow))
+    _, pad = _conv_geometry(x, kernels.shape[1:], padding, stride)
+    return Tensor._wrap(_conv_gemm(x.data, kernels, stride, pad)[0])
 
 
 # Nearest 2x upsampling folds a 3-tap row [t0, t1, t2] into two 2-tap rows
@@ -379,17 +475,14 @@ def upsample_conv2d(low: Tensor, skip: Tensor, kernel: Tensor,
     out += skip_out.data
     result = Tensor._wrap(out)
     if tape is not None:
-        spread_of = [None, None]
-
         def spread(g):
-            # g's phases on the (h+1)x(w+1) grid, (N, 4*C_out, grid), once per g
-            if spread_of[0] is not g:
-                grid = np.zeros((n, 2, 2, co, h + 1, w + 1), DTYPE)
-                for p in (0, 1):
-                    for r in (0, 1):
-                        grid[:, p, r, :, p:p + h, r:r + w] = g[:, :, p::2, r::2]
-                spread_of[:] = g, grid.reshape(n, 4 * co, -1)
-            return spread_of[1]
+            # g's phases on the (h+1)x(w+1) grid, (N, 4*C_out, grid)
+            grid = np.zeros((n, 2, 2, co, h + 1, w + 1), DTYPE)
+            for p in (0, 1):
+                for r in (0, 1):
+                    grid[:, p, r, :, p:p + h, r:r + w] = g[:, :, p::2, r::2]
+            return grid.reshape(n, 4 * co, -1)
+        spread = _once_per_g(spread)
 
         def pull_low(g):
             # grid cell (b, c) gathered lowp[b+u, c+v]: low[a] is lowp[a+1]

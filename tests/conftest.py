@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from lorex import persist
+from lorex import numerics, persist
 from lorex.degradations import DatasetConfig, make_dataset
 from lorex.harness import PRETRAIN, ROUTER, clean_training_images, load_task_data, \
     router_training_set
@@ -31,6 +31,18 @@ settings.register_profile("ci", derandomize=True, deadline=None, max_examples=20
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def data_grads(monkeypatch):
+    """(C_in, H, W) of every conv input gradient computed, by either
+    lowering's data-gradient pull, in order."""
+    shapes = []
+    for name in ("_conv_data_grad", "_shift_add_data_grad"):
+        pull = getattr(numerics, name)
+        monkeypatch.setattr(numerics, name, lambda *args, pull=pull: (
+            shapes.append((out := pull(*args)).shape[1:]) or out))
+    return shapes
 
 
 @pytest.fixture(scope="session")

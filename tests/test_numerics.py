@@ -14,6 +14,7 @@ from lorex.numerics import (
     bias_add_rows,
     concat_channels,
     conv2d,
+    conv2d_per_image,
     cosine_lr,
     finite_difference_check,
     global_avg_pool,
@@ -140,12 +141,75 @@ class TestConv2d:
         assert out.dims == (1, 2, 3, 3)
 
     def test_batched_matches_single(self, rng):
-        x = rng.random((3, 2, 6, 6), dtype=np.float32)
-        k = Tensor(rng.standard_normal((4, 2, 3, 3)).astype(np.float32))
-        batched = conv2d(Tensor(x), k, "same", 2)
-        for i in range(3):
-            single = conv2d(Tensor(x[i:i + 1]), k, "same", 2)
-            np.testing.assert_array_equal(batched.data[i:i + 1], single.data)
+        # with one kernel and with a kernel per image; im2col at stride 2,
+        # and shift-and-add for a 16->3 kernel
+        for co, ci, padding, stride in ((4, 2, "same", 2), (3, 16, "same", 1),
+                                        (3, 16, "valid", 1)):
+            x = rng.random((4, ci, 12, 10), dtype=np.float32)
+            k = rng.standard_normal((co, ci, 3, 3)).astype(np.float32)
+            kernels = rng.standard_normal((4, co, ci, 3, 3)).astype(np.float32)
+            batched = conv2d(Tensor(x), Tensor(k), padding, stride)
+            per_image = conv2d_per_image(Tensor(x), kernels, padding, stride)
+            for i in range(4):
+                alone = Tensor(x[i:i + 1])
+                single = conv2d(alone, Tensor(k), padding, stride)
+                assert batched.data[i:i + 1].tobytes() == single.data.tobytes()
+                single = conv2d(alone, Tensor(kernels[i]), padding, stride)
+                assert per_image.data[i:i + 1].tobytes() == single.data.tobytes()
+
+
+def tap_windows(x, k, stride, pad):
+    """(u, v, window) for each tap of a conv: the float64 zero-bordered
+    input's pixels that tap (u, v) multiplies, one per output pixel."""
+    n, c, h, w = x.shape
+    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+    xp[:, :, pad:pad + h, pad:pad + w] = x
+    oh, ow = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+    for u in range(k):
+        for v in range(k):
+            yield u, v, xp[:, :, u:u + stride * (oh - 1) + 1:stride,
+                           v:v + stride * (ow - 1) + 1:stride]
+
+
+def loop_conv(x, kernel, stride, pad):
+    """Reference conv: one product per kernel tap, in float64."""
+    return sum(np.einsum("oc,nchw->nohw", kernel[:, :, u, v].astype(np.float64), win)
+               for u, v, win in tap_windows(x, kernel.shape[2], stride, pad))
+
+
+def loop_pull_w(g, x, k, stride, pad):
+    """Reference kernel gradient of <conv(x), g>: tap (u, v) correlates g
+    with the pixels that tap sees, in float64."""
+    dk = np.zeros((g.shape[1], x.shape[1], k, k))
+    for u, v, win in tap_windows(x, k, stride, pad):
+        dk[:, :, u, v] = np.einsum("nohw,nchw->oc", g, win)
+    return dk
+
+
+class TestConvLowering:
+    """Both lowerings against the loop reference, and the rule choosing
+    between them: shift-and-add exactly for stride 1, k > 1 and
+    C_out < C_in."""
+
+    @pytest.mark.parametrize("co,ci,k,stride,padding", [
+        (3, 16, 3, 1, "same"), (2, 5, 5, 1, "valid"), (1, 2, 3, 1, "same"),
+        (4, 3, 3, 1, "same"), (3, 16, 3, 2, "same"), (2, 5, 1, 1, "same"),
+    ])
+    @pytest.mark.parametrize("extent", [(8, 8), (9, 7), (16, 12)])
+    def test_forward_matches_loop_reference(self, co, ci, k, stride, padding, extent, rng):
+        x = rng.standard_normal((2, ci, *extent)).astype(np.float32)
+        kernel = rng.standard_normal((co, ci, k, k)).astype(np.float32)
+        pad = (k - 1) // 2 if padding == "same" else 0
+        out = conv2d(Tensor(x), Tensor(kernel), padding, stride)
+        ref = loop_conv(x, kernel, stride, pad)
+        assert out.dims == ref.shape
+        assert np.abs(out.data - ref).max() <= 1e-5 * np.abs(ref).max()
+
+    def test_rule(self):
+        assert numerics._shift_add(3, 16, 3, 1)
+        assert numerics._shift_add(4, 32, 3, 1)
+        for args in ((16, 16, 3, 1), (16, 3, 3, 1), (3, 16, 3, 2), (3, 16, 1, 1)):
+            assert not numerics._shift_add(*args), args
 
 
 def col2im_pull_x(g, kernel, x_dims, stride, pad):
@@ -167,25 +231,30 @@ def col2im_pull_x(g, kernel, x_dims, stride, pad):
 
 
 class TestConvDataGradient:
-    """The taped conv input gradient (per-phase convolutions) against the
-    im2col/col2im scatter reference above."""
+    """The taped conv gradients against references: the data gradient
+    against the im2col/col2im scatter above, the kernel gradient against
+    the tap loop. Kernels with C_out < C_in check both shift-and-add pulls
+    at stride 1, k > 1."""
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("stride", [1, 2, 3])
     @pytest.mark.parametrize("padding", ["same", "valid"])
     @pytest.mark.parametrize("extent", [(8, 8), (9, 7), (5, 6), (16, 12)])
     def test_matches_col2im_reference(self, k, stride, padding, extent, rng):
-        x = Tensor(rng.standard_normal((2, 3, *extent)).astype(np.float32))
-        kernel = Tensor(rng.standard_normal((4, 3, k, k)).astype(np.float32))
-        tape = GradTape()
-        out = conv2d(x, kernel, padding, stride, tape)
-        g = rng.standard_normal(out.dims).astype(np.float32)
-        loss = sum_all(mul(out, Tensor(g), tape), tape)
-        dx = tape.gradients(loss, [x])[0]
-        pad = (k - 1) // 2 if padding == "same" else 0
-        ref = col2im_pull_x(g, kernel.data, x.dims, stride, pad)
-        assert dx.shape == x.dims
-        assert np.abs(dx - ref).max() <= 1e-5 * np.abs(ref).max()
+        for co, ci in ((4, 3), (2, 5)):
+            x = Tensor(rng.standard_normal((2, ci, *extent)).astype(np.float32))
+            kernel = Tensor(rng.standard_normal((co, ci, k, k)).astype(np.float32))
+            tape = GradTape()
+            out = conv2d(x, kernel, padding, stride, tape)
+            g = rng.standard_normal(out.dims).astype(np.float32)
+            loss = sum_all(mul(out, Tensor(g), tape), tape)
+            dx, dk = tape.gradients(loss, [x, kernel])
+            pad = (k - 1) // 2 if padding == "same" else 0
+            ref = col2im_pull_x(g, kernel.data, x.dims, stride, pad)
+            assert dx.shape == x.dims
+            assert np.abs(dx - ref).max() <= 1e-5 * np.abs(ref).max()
+            ref = loop_pull_w(g, x.data, k, stride, pad)
+            assert np.abs(dk - ref).max() <= 1e-5 * np.abs(ref).max()
 
 
 class TestUpsampleConv2d:
@@ -245,20 +314,16 @@ class TestUpsampleConv2d:
                                     Tensor(kernels[i]))
             assert out.data[i:i + 1].tobytes() == alone.data.tobytes()
 
-    def test_unreachable_skip_gets_no_data_gradient(self, rng, monkeypatch):
+    def test_unreachable_skip_gets_no_data_gradient(self, rng, data_grads):
         low = Tensor(rng.standard_normal((1, 2, 3, 3)).astype(np.float32))
         skip = Tensor(rng.standard_normal((1, 3, 6, 6)).astype(np.float32))
         kernel = Tensor(rng.standard_normal((2, 5, 3, 3)).astype(np.float32))
-        calls = []
-        data_grad = numerics._conv_data_grad
-        monkeypatch.setattr(numerics, "_conv_data_grad",
-                            lambda *args: calls.append(1) or data_grad(*args))
         tape = GradTape()
         loss = sum_all(upsample_conv2d(low, skip, kernel, tape), tape)
         tape.gradients(loss, [low, kernel])
-        assert calls == []
+        assert data_grads == []
         tape.gradients(loss, [skip])
-        assert calls == [1]
+        assert data_grads == [(3, 6, 6)]
 
     def test_shape_contracts(self, rng):
         low = Tensor(np.ones((2, 2, 3, 3), np.float32))
@@ -395,6 +460,21 @@ class TestPrimitiveGradients:
             side = rng.random() < 0.5
             def f(p, tape):
                 out = conv2d(p if side else x, k if side else p, padding, stride, tape)
+                return weighted_sum(out, w, tape)
+            return f, (x if side else k)
+        self._check(build)
+
+    def test_conv2d_fewer_outputs_than_inputs(self):
+        # the shift-and-add lowering
+        def build(rng):
+            padding = "same" if rng.random() < 0.5 else "valid"
+            x = Tensor(away_from_zero(rng, (1, 4, 5, 6)))
+            k = Tensor(away_from_zero(rng, (2, 4, 3, 3)) * 0.5)
+            out_dims = conv2d(x, k, padding).dims
+            w = Tensor(rng.standard_normal(out_dims).astype(np.float32))
+            side = rng.random() < 0.5
+            def f(p, tape):
+                out = conv2d(p if side else x, k if side else p, padding, 1, tape)
                 return weighted_sum(out, w, tape)
             return f, (x if side else k)
         self._check(build)
