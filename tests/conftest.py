@@ -39,9 +39,11 @@ def data_grads(monkeypatch):
     lowering's data-gradient pull, in order."""
     shapes = []
     for name in ("_conv_data_grad", "_shift_add_data_grad"):
-        pull = getattr(numerics, name)
-        monkeypatch.setattr(numerics, name, lambda *args, pull=pull: (
-            shapes.append((out := pull(*args)).shape[1:]) or out))
+        def spy(*args, pull=getattr(numerics, name)):
+            out = pull(*args)
+            shapes.append(out.shape[1:])
+            return out
+        monkeypatch.setattr(numerics, name, spy)
     return shapes
 
 
