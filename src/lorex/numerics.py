@@ -18,10 +18,10 @@ k > 1 and fewer output than input channels (the RGB head) runs
 shift-and-add instead (kn2row; Vasudevan et al. 2017, arXiv 1704.04428):
 the tap-stacked (k*k*C_out, C_in) kernel multiplies the zero-bordered
 input once, giving one plane per tap, and the k*k shifted windows of
-those planes sum to the output. Its gradients spread the output gradient
-over the same shifted planes.
+those planes sum to the output. Its kernel gradient spreads the output
+gradient over the same shifted planes.
 
-An im2col conv's input gradient is convolutions too, not a scatter: input pixel
+Either way, a conv's input gradient is convolutions too, not a scatter: input pixel
 ``i = stride*q + p`` receives ``g[q + d]`` through tap
 ``u = p + pad - stride*d``, so each of the ``stride**2`` phases of the
 input grid is a stride-1 correlation of the zero-bordered output gradient
@@ -293,27 +293,6 @@ def _conv_gemm(x4: np.ndarray, kernel: np.ndarray, stride: int, pad: int):
     return out, flat
 
 
-def _shift_add_data_grad(grid: np.ndarray, taps: np.ndarray, h: int, w: int,
-                         pad: int) -> np.ndarray:
-    # Input gradient of a shift-and-add conv from its spread output
-    # gradient (N, k*k*C_out, Hp*Wp): the bordered input's gradient is
-    # taps.T @ grid, cropped to the input.
-    n, c = grid.shape[0], taps.shape[1]
-    d = np.matmul(taps.T, grid).reshape(n, c, h + 2 * pad, w + 2 * pad)
-    return np.ascontiguousarray(d[:, :, pad:pad + h, pad:pad + w]) if pad else d
-
-
-def _once_per_g(build: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    # build(g), computed once for the g that every pull of one record receives
-    last = [None, None]
-
-    def get(g):
-        if last[0] is not g:
-            last[:] = g, build(g)
-        return last[1]
-    return get
-
-
 def _conv_geometry(x: Tensor, kernel_dims, padding: str, stride: int) -> tuple[int, int]:
     # validates one conv and returns its kernel size and zero padding
     if padding not in ("same", "valid"):
@@ -348,7 +327,8 @@ def conv2d(x: Tensor, kernel: Tensor, padding: str = "same", stride: int = 1,
     tap-stacked kernel with the zero-bordered input, then a sum of the k*k
     shifted windows of its planes in a fixed tap order. Every other conv
     runs one GEMM on im2col columns. With a tape the same lowering computes
-    both gradients, so training and inference share one path per shape.
+    the kernel gradient, so training and inference share one path per
+    shape; the input gradient is the per-phase convolutions for both.
     """
     k, pad = _conv_geometry(x, kernel.dims, padding, stride)
     n, c, h, w = x.dims
@@ -361,29 +341,23 @@ def conv2d(x: Tensor, kernel: Tensor, padding: str = "same", stride: int = 1,
     if _shift_add(co, c, k, stride):
         hp, wp = h + 2 * pad, w + 2 * pad
 
-        def spread(g):
+        def pull_w(g):
             # g at the k*k shifted positions of the tap planes, (N, k*k*C_out, Hp*Wp)
             grid = np.zeros((n, k, k, co, hp, wp), DTYPE)
             for u in range(k):
                 for v in range(k):
                     grid[:, u, v, :, u:u + oh, v:v + ow] = g
-            return grid.reshape(n, k * k * co, hp * wp)
-        spread = _once_per_g(spread)
-
-        def pull_x(g):
-            return _shift_add_data_grad(spread(g), _tap_rows(kernel.data), h, w, pad)
-
-        def pull_w(g):
-            gt = np.matmul(spread(g), lowered.transpose(0, 2, 1)).sum(axis=0)
+            grid = grid.reshape(n, k * k * co, hp * wp)
+            gt = np.matmul(grid, lowered.transpose(0, 2, 1)).sum(axis=0)
             return np.ascontiguousarray(gt.reshape(k, k, co, c).transpose(2, 3, 0, 1))
     else:
-        def pull_x(g):
-            return _conv_data_grad(g, kernel.data, h, w, stride, pad)
-
         def pull_w(g):
             gmat = g.reshape(n, co, oh * ow)
             gw = np.matmul(gmat, lowered.transpose(0, 2, 1)).sum(axis=0)
             return gw.reshape(kernel.dims)
+
+    def pull_x(g):
+        return _conv_data_grad(g, kernel.data, h, w, stride, pad)
 
     tape.record(out, [(x, pull_x), (kernel, pull_w)])
     return out
@@ -475,14 +449,17 @@ def upsample_conv2d(low: Tensor, skip: Tensor, kernel: Tensor,
     out += skip_out.data
     result = Tensor._wrap(out)
     if tape is not None:
+        spread_of = [None, None]
+
         def spread(g):
-            # g's phases on the (h+1)x(w+1) grid, (N, 4*C_out, grid)
-            grid = np.zeros((n, 2, 2, co, h + 1, w + 1), DTYPE)
-            for p in (0, 1):
-                for r in (0, 1):
-                    grid[:, p, r, :, p:p + h, r:r + w] = g[:, :, p::2, r::2]
-            return grid.reshape(n, 4 * co, -1)
-        spread = _once_per_g(spread)
+            # g's phases on the (h+1)x(w+1) grid, (N, 4*C_out, grid), once per g
+            if spread_of[0] is not g:
+                grid = np.zeros((n, 2, 2, co, h + 1, w + 1), DTYPE)
+                for p in (0, 1):
+                    for r in (0, 1):
+                        grid[:, p, r, :, p:p + h, r:r + w] = g[:, :, p::2, r::2]
+                spread_of[:] = g, grid.reshape(n, 4 * co, -1)
+            return spread_of[1]
 
         def pull_low(g):
             # grid cell (b, c) gathered lowp[b+u, c+v]: low[a] is lowp[a+1]

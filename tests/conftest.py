@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from lorex import numerics, persist
+from lorex import persist
 from lorex.degradations import DatasetConfig, make_dataset
 from lorex.harness import PRETRAIN, ROUTER, clean_training_images, load_task_data, \
     router_training_set
@@ -31,20 +31,6 @@ settings.register_profile("ci", derandomize=True, deadline=None, max_examples=20
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
-
-
-@pytest.fixture
-def data_grads(monkeypatch):
-    """(C_in, H, W) of every conv input gradient computed, by either
-    lowering's data-gradient pull, in order."""
-    shapes = []
-    for name in ("_conv_data_grad", "_shift_add_data_grad"):
-        def spy(*args, pull=getattr(numerics, name)):
-            out = pull(*args)
-            shapes.append(out.shape[1:])
-            return out
-        monkeypatch.setattr(numerics, name, spy)
-    return shapes
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lorex import harness, lora, persist, restorer
+from lorex import harness, lora, numerics, persist, restorer
 from lorex import router as router_module
 from lorex.degradations import DatasetManifest, TaskRecord, gen_clean_image, read_ppm, write_ppm
 from lorex.errors import ConfigError, DataError, ShapeError
@@ -161,15 +161,19 @@ class TestDecoderPath:
             forward(model, Tensor(x), s)
         assert calls == [dims for dims in skips for _ in range(3)]
 
-    def test_training_step_skips_the_raw_image_data_gradient(self, rng, data_grads):
+    def test_training_step_skips_the_raw_image_data_gradient(self, rng, monkeypatch):
         # dec3's skip connection is the input image, which reaches no
         # parameter: no conv data gradient may be computed for it. At full
         # resolution only the head's 16-channel input needs one.
         model = build_model(LABELS, seed=3)
         trainer = AdapterTrainer(model, 1, random_task(rng, "t1", n=4), TrainConfig(batch_size=2))
+        shapes = []
+        data_grad = numerics._conv_data_grad
+        monkeypatch.setattr(numerics, "_conv_data_grad", lambda g, kernel, h, w, *rest: (
+            shapes.append((kernel.shape[1], h, w)) or data_grad(g, kernel, h, w, *rest)))
         trainer.step()
-        assert [c for c, h, w in data_grads if (h, w) == (32, 32)] == [16]
-        assert all(c != 3 for c, _, _ in data_grads)
+        assert [c for c, h, w in shapes if (h, w) == (32, 32)] == [16]
+        assert all(c != 3 for c, _, _ in shapes)
 
 
 class TestPerImageWeights:
