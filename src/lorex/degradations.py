@@ -334,6 +334,8 @@ def load_manifest(path, verify: bool = True) -> DatasetManifest:
         pairs[label].append((base / rel_c, base / rel_d))
     if len(order) != declared:
         raise DataError(f"{path}: header declares T={declared} but found {len(order)} tasks")
+    if not order:
+        raise DataError(f"{path}: manifest lists no tasks")
 
     manifest = DatasetManifest(tasks=[TaskRecord(lb, pairs[lb]) for lb in order])
     if verify:

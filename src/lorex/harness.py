@@ -11,10 +11,21 @@ statistics are filtered once. What stays per strategy is the chunk's
 image, and one batched SSIM. Every score equals that of restoring and
 scoring the image alone, bit for bit, so a report does not depend on which
 strategies share the pass.
+
+Tasks are scored in ``W = min(tasks, usable cores)`` workers
+(``_in_workers``): the calling process takes tasks 0, W, 2W, ..., and W - 1
+forked children take the rest, one share each. No score depends on the
+tasks scored with it, so the results, put back in manifest order, are the
+ones a single process computes, and every report is identical whatever the
+core count. One worker is used where ``os.fork`` or
+``os.sched_getaffinity`` is missing.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -22,7 +33,7 @@ import numpy as np
 
 from . import seeding
 from .degradations import DatasetManifest, read_ppm
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, LorexError
 from .metrics import MetricReport, psnr, ssim_chunk, ssim_reference
 from .numerics import DTYPE, Tensor
 from .restorer import RestorerModel, TaskData, TrainConfig, restore
@@ -186,39 +197,138 @@ def _read_in_chunks(task) -> Iterator[tuple[Chunk, np.ndarray]]:
         yield chunk(first, pairs)
 
 
+def _worker_count(items: int) -> int:
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, min(items, len(os.sched_getaffinity(0))))
+
+
+def _in_workers(fn: Callable[[Sequence], list], items: Sequence) -> list:
+    """``fn`` over ``items`` in ``W = _worker_count(len(items))`` processes;
+    ``fn(share)`` returns one result per item of its share. Worker i gets
+    ``items[i::W]``: the caller is worker 0, the others are forked children
+    that send their results back pickled through one pipe each. Returns the
+    results in item order.
+
+    An exception raised by ``fn`` in a child is raised here with its type
+    and message; a child that ends without a result (killed, or its pipe
+    cut short) raises ``LorexError``. No child outlives the call: on any
+    failure of the caller's own share the children are killed, and every
+    child is reaped before returning or raising.
+    """
+    workers = _worker_count(len(items))
+    if workers == 1:
+        return fn(items)
+    children = []                   # (pid, the read end of its pipe)
+    status: dict[int, int] = {}
+    try:
+        for i in range(1, workers):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                _child(fn, items[i::workers], read_end, write_end)
+            os.close(write_end)
+            children.append((pid, open(read_end, "rb")))
+        shares = [fn(items[0::workers])]
+        blobs = [pipe.read() for _, pipe in children]
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            status[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    for (pid, _), blob in zip(children, blobs):
+        # a child exits 0 only once its whole result is written
+        if status[pid] != 0 or not blob:
+            how = (f"killed by signal {-status[pid]}" if status[pid] < 0
+                   else f"exit status {status[pid]}")
+            raise LorexError(f"worker process {pid} ended without a result ({how})")
+        ok, value = pickle.loads(blob)
+        if not ok:
+            raise value
+        shares.append(value)
+    results: list = [None] * len(items)
+    for i, share in enumerate(shares):
+        results[i::workers] = share
+    return results
+
+
+def _child(fn, share, read_end: int, write_end: int) -> None:
+    # never returns into the caller's code, and os._exit skips the atexit
+    # handlers and the flush of stdio buffers copied from the parent
+    code = 1
+    try:
+        os.close(read_end)
+        try:
+            blob = pickle.dumps((True, fn(share)))
+        except BaseException as exc:
+            try:
+                blob = pickle.dumps((False, exc))
+                pickle.loads(blob)          # some exception types do not round-trip
+            except Exception:
+                blob = pickle.dumps((False, LorexError(f"{type(exc).__name__}: {exc}")))
+        with open(write_end, "wb") as pipe:
+            pipe.write(blob)
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def evaluate_restoration(model: RestorerModel, manifest: DatasetManifest,
                          strategies: Mapping[str, Strategy], with_baseline: bool = True
                          ) -> dict[str, dict[str, dict[str, MetricReport]]]:
     """Restore every test pair under every strategy and score it, in one
     pass (see the module docstring); returns strategy -> task -> metric ->
-    report.
+    report, tasks in manifest order.
 
     Every strategy is checked against the manifest's labels before any
-    image is read. Metrics: restored psnr/ssim plus (optionally) the
-    degraded input's psnr_degraded baseline, computed once per pair.
+    image is read or any worker starts. The tasks are scored in
+    ``_in_workers``, at most one worker per usable core; the reports are
+    the same for any worker count. Metrics: restored psnr/ssim plus
+    (optionally) the degraded input's psnr_degraded baseline, computed once
+    per pair.
     """
     for name, strategy in strategies.items():
         strategy.check(name, manifest.labels)
+
+    def score(tasks):
+        return [_score_task(model, task, strategies, with_baseline) for task in tasks]
+
     results: dict[str, dict[str, dict[str, MetricReport]]] = {name: {} for name in strategies}
-    for task in manifest.tasks:
-        values = {name: ([], []) for name in strategies}
-        base = []
-        for chunk, clean in _read_in_chunks(task):
-            reference = ssim_reference(clean)
-            for name, strategy in strategies.items():
-                restored = restore(model, Tensor._wrap(chunk.images),
-                                   strategy.weights(chunk)).data
-                psnrs, ssims = values[name]
-                psnrs.extend(psnr(out, c) for out, c in zip(restored, clean))
-                ssims.extend(ssim_chunk(restored, reference))
-            if with_baseline:
-                base.extend(psnr(d, c) for d, c in zip(chunk.images, clean))
-        for name, (psnrs, ssims) in values.items():
-            reports = {"psnr": MetricReport(psnrs), "ssim": MetricReport(ssims)}
-            if with_baseline:
-                reports["psnr_degraded"] = MetricReport(base)
-            results[name][task.label] = reports
+    for task, reports in zip(manifest.tasks, _in_workers(score, manifest.tasks)):
+        for name in strategies:
+            results[name][task.label] = reports[name]
     return results
+
+
+def _score_task(model: RestorerModel, task, strategies: Mapping[str, Strategy],
+                with_baseline: bool) -> dict[str, dict[str, MetricReport]]:
+    # strategy -> metric -> report for one task
+    values = {name: ([], []) for name in strategies}
+    base = []
+    for chunk, clean in _read_in_chunks(task):
+        reference = ssim_reference(clean)
+        for name, strategy in strategies.items():
+            restored = restore(model, Tensor._wrap(chunk.images),
+                               strategy.weights(chunk)).data
+            psnrs, ssims = values[name]
+            psnrs.extend(psnr(out, c) for out, c in zip(restored, clean))
+            ssims.extend(ssim_chunk(restored, reference))
+        if with_baseline:
+            base.extend(psnr(d, c) for d, c in zip(chunk.images, clean))
+    reports = {}
+    for name, (psnrs, ssims) in values.items():
+        reports[name] = {"psnr": MetricReport(psnrs), "ssim": MetricReport(ssims)}
+        if with_baseline:
+            reports[name]["psnr_degraded"] = MetricReport(base)
+    return reports
 
 
 def routing_accuracy(router: RouterState, manifest: DatasetManifest,

@@ -7,6 +7,8 @@ criteria; their wall-clock build times are recorded for the runtime
 budgets.
 """
 
+import contextlib
+import os
 import time
 from dataclasses import replace
 
@@ -26,6 +28,20 @@ MASTER_SEED = 7
 # `pytest --hypothesis-profile=ci`: the same examples on every run, a
 # bounded count, and no per-example deadline on a shared machine
 settings.register_profile("ci", derandomize=True, deadline=None, max_examples=200)
+
+
+@contextlib.contextmanager
+def usable_cpus(n: int):
+    """Restrict this process to its first ``n`` usable CPUs, which sets the
+    evaluation worker count; skips the test where fewer are usable."""
+    before = os.sched_getaffinity(0)
+    if len(before) < n:
+        pytest.skip(f"needs {n} usable CPUs, has {len(before)}")
+    os.sched_setaffinity(0, sorted(before)[:n])
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, before)
 
 
 @pytest.fixture

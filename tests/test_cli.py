@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import usable_cpus
 
 import lorex
 from lorex import degradations, harness, persist
@@ -169,7 +171,8 @@ class TestExitCodes:
         lambda text: text.replace(b"T=", b"T=x", 1),
         lambda text: text.replace(b"\t", b" ", 1),
         lambda text: text.replace(b"/p0000_clean.ppm", b"", 1),
-    ], ids=["not-utf8", "bad-task-count", "two-fields", "directory-path"])
+        lambda text: text.split(b"T=")[0] + b"T=0\n",
+    ], ids=["not-utf8", "bad-task-count", "two-fields", "directory-path", "no-tasks"])
     def test_corrupted_manifest_is_1_without_traceback(self, mini, tmp_path, corrupt):
         manifest = mini["data"] / "test.manifest"
         bad = mini["data"] / f"bad_{tmp_path.name}.manifest"
@@ -181,6 +184,37 @@ class TestExitCodes:
             bad.unlink()
         assert proc.returncode == 1
         assert_one_error_line(proc.stderr)
+
+    def test_train_router_on_a_manifest_with_no_tasks_is_1(self, mini, tmp_path):
+        bad = tmp_path / "empty.manifest"
+        bad.write_bytes((mini["data"] / "train.manifest").read_bytes().split(b"T=")[0]
+                        + b"T=0\n")
+        proc = run_in_subprocess("train-router", "--data", bad, "--out", tmp_path / "r.uirl",
+                                 "--iterations", "1")
+        assert proc.returncode == 1
+        assert_one_error_line(proc.stderr)
+        assert "lists no tasks" in proc.stderr
+        assert not (tmp_path / "r.uirl").exists()
+
+    def test_failure_in_an_evaluation_worker_is_1(self, mini, tmp_path, capsys):
+        # a pair of two sizes passes the manifest check and fails only when
+        # evaluated; with two workers, the second task is the forked worker's
+        shutil.copytree(mini["data"] / "test", tmp_path / "test")
+        manifest = tmp_path / "test.manifest"
+        shutil.copy(mini["data"] / "test.manifest", manifest)
+        clean_path, degraded_path = load_manifest(manifest).tasks[1].pairs[0]
+        write_ppm(clean_path, gen_clean_image(0, (32, 40)))
+        out = tmp_path / "ablate.tsv"
+        with usable_cpus(2):
+            assert run("ablate-routing", "--data", manifest, "--ckpt", mini["base"],
+                       "--router", mini["router"], "--strategies", "average,top1",
+                       "--out", out) == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert str(degraded_path) in err
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_invalid_weights_is_1(self, mini, tmp_path, capsys):
         img = tmp_path / "x.ppm"
@@ -384,6 +418,19 @@ class TestEvalCommands:
         per_strategy = 5 * 2 + 1  # 5 tasks x (psnr, ssim) + aggregate
         assert len(lines) == 3 * per_strategy
         assert any(line.startswith("top1/ALL\tpsnr") for line in lines)
+
+    def test_ablate_routing_report_does_not_depend_on_the_usable_cpu_count(self, mini,
+                                                                            tmp_path):
+        reports = []
+        for cpus in (1, 2):
+            report = tmp_path / f"ablate_{cpus}.tsv"
+            with usable_cpus(cpus):
+                assert run("ablate-routing", "--data", mini["data"] / "test.manifest",
+                           "--ckpt", mini["base"], "--router", mini["router"],
+                           "--strategies", "random,average,top1,top2,all", "--seed", "3",
+                           "--out", report) == 0
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_sweep_rank_reports_params_and_loss(self, mini, tmp_path):
         report = tmp_path / "sweep.tsv"

@@ -1,12 +1,17 @@
 """Restorer model contracts: transparency, isolation, determinism."""
 
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
+from conftest import usable_cpus
 
 from lorex import harness, lora, numerics, persist, restorer
 from lorex import router as router_module
 from lorex.degradations import DatasetManifest, TaskRecord, gen_clean_image, read_ppm, write_ppm
-from lorex.errors import ConfigError, DataError, ShapeError
+from lorex.errors import ConfigError, DataError, LorexError, ShapeError
 from lorex.harness import build_strategy, evaluate_restoration, strategy_weight_fn
 from lorex.lora import aggregated_forward, merge_weights
 from lorex.metrics import psnr, ssim
@@ -286,13 +291,23 @@ class TestEvaluateRestoration:
         router = build_router(LABELS, seed=4)
         args = {"router": router, "k": 2, "seed": 5, "manual_s": [0.2, 0.0, 0.8]}
         strategies = {name: build_strategy(name, model, **args) for name in self.STRATEGIES}
-        encodes = []
+        # one byte per encode, appended to a file so that the encodes of
+        # forked evaluation workers are counted too
+        encodes = tmp_path / "encodes"
         encode = router_module._encode_batch
-        monkeypatch.setattr(router_module, "_encode_batch",
-                            lambda *a: encodes.append(1) or encode(*a))
+
+        def counting_encode(*a):
+            fd = os.open(encodes, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+            try:
+                os.write(fd, b".")
+            finally:
+                os.close(fd)
+            return encode(*a)
+
+        monkeypatch.setattr(router_module, "_encode_batch", counting_encode)
         one_pass = evaluate_restoration(model, manifest, strategies)
         # four router strategies, one encode per chunk
-        assert len(encodes) == 7 * len(LABELS)
+        assert len(encodes.read_bytes()) == 7 * len(LABELS)
         for name in self.STRATEGIES:
             alone = evaluate_restoration(model, manifest, {name: strategies[name]})
             assert report_values(one_pass[name]) == report_values(alone[name])
@@ -315,6 +330,79 @@ class TestEvaluateRestoration:
         write_ppm(clean_path, gen_clean_image(0, (32, 40)))
         with pytest.raises(DataError):
             evaluate_restoration(model, manifest, {"average": build_strategy("average", model)})
+
+    def test_reports_do_not_depend_on_the_usable_cpu_count(self, rng, tmp_path):
+        # three tasks: one worker scores all, or two split them 2 / 1
+        model = build_model(LABELS, seed=3)
+        randomize_adapters(model, rng, scale=0.05)
+        manifest = write_manifest_pairs(tmp_path, rng, LABELS, [(32, 32)] * 3 + [(16, 48)])
+        router = build_router(LABELS, seed=4)
+        strategies = {name: build_strategy(name, model, router, k=2, seed=5,
+                                           manual_s=[0.2, 0.0, 0.8])
+                      for name in self.STRATEGIES}
+        reports = []
+        for cpus in (1, 2):
+            with usable_cpus(cpus):
+                got = evaluate_restoration(model, manifest, strategies)
+            assert list(got) == list(self.STRATEGIES)
+            assert all(list(got[name]) == list(LABELS) for name in got)
+            reports.append({name: report_values(got[name]) for name in got})
+        assert reports[0] == reports[1]
+
+    def test_corrupt_image_in_a_worker_raises_its_data_error(self, rng, tmp_path):
+        model = build_model(LABELS, seed=3)
+        manifest = write_manifest_pairs(tmp_path, rng, LABELS, [(32, 32)])
+        # with two workers, the second task is the forked worker's
+        degraded_path = manifest.tasks[1].pairs[0][1]
+        degraded_path.write_bytes(degraded_path.read_bytes()[:-7])
+        with usable_cpus(2), pytest.raises(DataError, match=f"{degraded_path}.*truncated"):
+            evaluate_restoration(model, manifest, {"average": build_strategy("average", model)})
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+class TestInWorkers:
+    def test_results_come_back_in_item_order(self):
+        parent = os.getpid()
+        with usable_cpus(2):
+            got = harness._in_workers(lambda share: [(x, os.getpid()) for x in share],
+                                      list(range(7)))
+        assert [x for x, _ in got] == list(range(7))
+        assert [pid == parent for _, pid in got] == [i % 2 == 0 for i in range(7)]
+
+    def test_worker_count_is_at_most_the_item_count(self):
+        with usable_cpus(2):
+            assert harness._in_workers(lambda share: [os.getpid()], ["one"]) == [os.getpid()]
+        assert harness._in_workers(lambda share: list(share), []) == []
+
+    def test_killed_worker_raises_lorex_error(self):
+        parent = os.getpid()
+
+        def fn(share):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return list(share)
+
+        with usable_cpus(2), pytest.raises(LorexError, match="killed by signal 9"):
+            harness._in_workers(fn, [0, 1])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failing_caller_share_kills_the_workers(self):
+        parent = os.getpid()
+
+        def fn(share):
+            if os.getpid() == parent:
+                raise ConfigError("the caller's share failed")
+            time.sleep(60)
+            return list(share)
+
+        t0 = time.monotonic()
+        with usable_cpus(2), pytest.raises(ConfigError, match="caller's share"):
+            harness._in_workers(fn, [0, 1])
+        assert time.monotonic() - t0 < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("name,kwargs", [
         ("bogus", {}), ("manual", {}), ("manual", {"manual_s": [0.5, 0.5]}),
