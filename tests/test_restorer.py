@@ -360,6 +360,17 @@ class TestEvaluateRestoration:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.parametrize("name,kwargs", [
+        ("bogus", {}), ("manual", {}), ("manual", {"manual_s": [0.5, 0.5]}),
+        ("topk", {"k": 0}), ("topk", {"k": 4}), ("topk", {}), ("top1", {"router": None}),
+    ], ids=["unknown", "manual-without-vector", "manual-short", "topk-0", "topk-past-t",
+            "topk-without-k", "top1-without-router"])
+    def test_build_strategy_rejects(self, name, kwargs):
+        model = build_model(LABELS, seed=3)
+        args = {"router": build_router(LABELS, seed=4), **kwargs}
+        with pytest.raises(ConfigError):
+            build_strategy(name, model, **args)
+
 
 class TestInWorkers:
     def test_results_come_back_in_item_order(self):
@@ -403,17 +414,6 @@ class TestInWorkers:
         assert time.monotonic() - t0 < 30
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-
-    @pytest.mark.parametrize("name,kwargs", [
-        ("bogus", {}), ("manual", {}), ("manual", {"manual_s": [0.5, 0.5]}),
-        ("topk", {"k": 0}), ("topk", {"k": 4}), ("topk", {}), ("top1", {"router": None}),
-    ], ids=["unknown", "manual-without-vector", "manual-short", "topk-0", "topk-past-t",
-            "topk-without-k", "top1-without-router"])
-    def test_build_strategy_rejects(self, name, kwargs):
-        model = build_model(LABELS, seed=3)
-        args = {"router": build_router(LABELS, seed=4), **kwargs}
-        with pytest.raises(ConfigError):
-            build_strategy(name, model, **args)
 
 
 class TestMergedEquivalence:
