@@ -1,4 +1,4 @@
-"""Stage defaults and evaluation machinery shared by the CLI and the tests.
+"""Stage defaults, evaluation and expert training shared by the CLI and the tests.
 
 ``evaluate_restoration`` scores several composition strategies in one
 pass over a manifest. Consecutive same-size pairs of a task form a chunk
@@ -19,6 +19,11 @@ tasks scored with it, so the results, put back in manifest order, are the
 ones a single process computes, and every report is identical whatever the
 core count. One worker is used where ``os.fork`` or
 ``os.sched_getaffinity`` is missing.
+
+``train_experts`` trains experts the same way, one task per item: an
+expert depends only on the base, its own initial factors, its task's pairs
+and the schedule, so the trained model is bit-identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .degradations import DatasetManifest, read_ppm
 from .errors import ConfigError, DataError, LorexError
 from .metrics import MetricReport, psnr, ssim_chunk, ssim_reference
 from .numerics import DTYPE, Tensor
-from .restorer import RestorerModel, TaskData, TrainConfig, restore
+from .restorer import AdapterTrainer, RestorerModel, TaskData, TrainConfig, restore
 from .router import RouterState, crop_corrected_scores, topk_reallocate
 
 # pretraining and router schedules; TrainConfig() is the expert
@@ -47,8 +52,18 @@ ROUTER = TrainConfig(iterations=6000, batch_size=16)
 
 
 def load_task_data(manifest: DatasetManifest, label: str) -> TaskData:
-    task = manifest.task(label)
-    pairs = [(read_ppm(d), read_ppm(c)) for c, d in task.pairs]
+    """One task's pairs, stacked; every image must have the size of the
+    task's first degraded image, else ``DataError`` names the first that
+    does not."""
+    pairs = []
+    for clean_path, degraded_path in manifest.task(label).pairs:
+        degraded, clean = read_ppm(degraded_path), read_ppm(clean_path)
+        size = (pairs[0][0] if pairs else degraded).dims
+        for path, image in ((degraded_path, degraded), (clean_path, clean)):
+            if image.dims != size:
+                raise DataError(f"{path} is {image.dims[1]}x{image.dims[2]} but the first "
+                                f"image of task {label!r} is {size[1]}x{size[2]}")
+        pairs.append((degraded, clean))
     return TaskData.from_pairs(label, pairs)
 
 
@@ -279,6 +294,42 @@ def _child(fn, share, read_end: int, write_end: int) -> None:
         code = 0
     finally:
         os._exit(code)
+
+
+def train_experts(model: RestorerModel, manifest: DatasetManifest, labels: Sequence[str],
+                  config: TrainConfig) -> dict[str, list[float]]:
+    """Train the expert of each of ``labels`` on its task's ``manifest``
+    pairs with ``AdapterTrainer``, in place; returns label -> the expert's
+    training losses, in ``labels`` order.
+
+    Every label is checked before any image is read or any worker starts.
+    The experts are trained in ``_in_workers``, at most one worker per
+    usable core; each worker returns its experts' trained factors, which
+    are written back into ``model`` in label order. The model is
+    bit-identical to training the experts one after another in one process.
+    """
+    labels = list(labels)
+    for i, label in enumerate(labels):
+        if label not in model.labels:
+            raise ConfigError(f"task {label!r} is not in the model labels")
+        if label in labels[:i]:
+            raise ConfigError(f"task {label!r} is listed more than once")
+        manifest.task(label)            # DataError if the manifest lacks it
+
+    def train(share):
+        out = []
+        for label in share:
+            trainer = AdapterTrainer(model, model.labels.index(label),
+                                     load_task_data(manifest, label), config).run()
+            out.append(([p.data for p in trainer.params], trainer.losses))
+        return out
+
+    losses = {}
+    for label, (factors, curve) in zip(labels, _in_workers(train, labels)):
+        for param, data in zip(model.adapter_params(model.labels.index(label)), factors):
+            param.data[...] = data
+        losses[label] = curve
+    return losses
 
 
 def evaluate_restoration(model: RestorerModel, manifest: DatasetManifest,

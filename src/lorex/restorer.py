@@ -302,8 +302,9 @@ class AdapterTrainer:
     """Stepwise trainer for one task's adapter set.
 
     Batches are a pure function of (seed, label, iteration) and the
-    optimizer state lives here, so training several tasks sequentially or
-    round-robin interleaved produces bit-identical adapters either way.
+    optimizer state lives here, so training several tasks sequentially,
+    round-robin interleaved, or in separate processes
+    (``harness.train_experts``) produces bit-identical adapters either way.
     """
 
     def __init__(self, model: RestorerModel, k: int, task: TaskData, config: TrainConfig):

@@ -18,9 +18,9 @@ from hypothesis import settings
 
 from lorex import persist
 from lorex.degradations import DatasetConfig, make_dataset
-from lorex.harness import PRETRAIN, ROUTER, clean_training_images, load_task_data, \
-    router_training_set
-from lorex.restorer import AdapterTrainer, TrainConfig, build_model, pretrain_base
+from lorex.harness import PRETRAIN, ROUTER, clean_training_images, router_training_set, \
+    train_experts
+from lorex.restorer import TrainConfig, build_model, pretrain_base
 from lorex.router import build_router, train_router
 
 MASTER_SEED = 7
@@ -33,7 +33,8 @@ settings.register_profile("ci", derandomize=True, deadline=None, max_examples=20
 @contextlib.contextmanager
 def usable_cpus(n: int):
     """Restrict this process to its first ``n`` usable CPUs, which sets the
-    evaluation worker count; skips the test where fewer are usable."""
+    evaluation and expert-training worker count; skips the test where fewer
+    are usable."""
     before = os.sched_getaffinity(0)
     if len(before) < n:
         pytest.skip(f"needs {n} usable CPUs, has {len(before)}")
@@ -83,9 +84,7 @@ def base_model_path(workspace, dataset, timings):
 def trained_model_path(workspace, dataset, base_model_path, timings):
     t0 = time.time()
     model = persist.load_model(base_model_path)
-    for k, label in enumerate(model.labels):
-        task = load_task_data(dataset["train"], label)
-        AdapterTrainer(model, k, task, TrainConfig(seed=MASTER_SEED)).run()
+    train_experts(model, dataset["train"], model.labels, TrainConfig(seed=MASTER_SEED))
     path = workspace / "trained.uirl"
     persist.save_model(path, model)
     timings["train_lora_all"] = time.time() - t0

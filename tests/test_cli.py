@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 from conftest import usable_cpus
 
 import lorex
-from lorex import degradations, harness, persist
+from lorex import cli, degradations, harness, persist
 from lorex.checkpoint import load_checkpoint, save_checkpoint
 from lorex.cli import main
 from lorex.degradations import gen_clean_image, load_manifest, read_ppm, write_ppm
@@ -216,6 +217,26 @@ class TestExitCodes:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_failure_in_a_training_worker_is_1(self, mini, tmp_path, capsys):
+        # a clean image of another size passes the manifest check and fails
+        # only when its task is loaded; with two workers, task 1 is the
+        # forked worker's
+        shutil.copytree(mini["data"] / "train", tmp_path / "train")
+        manifest = tmp_path / "train.manifest"
+        shutil.copy(mini["data"] / "train.manifest", manifest)
+        clean_path = load_manifest(manifest).tasks[1].pairs[0][0]
+        write_ppm(clean_path, gen_clean_image(0, (32, 40)))
+        out = tmp_path / "experts.uirl"
+        with usable_cpus(2):
+            assert run("train-lora", "--task", "all", "--data", manifest,
+                       "--ckpt", mini["base"], "--out", out, "--iterations", "1") == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert str(clean_path) in err
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_invalid_weights_is_1(self, mini, tmp_path, capsys):
         img = tmp_path / "x.ppm"
         write_ppm(img, Tensor(np.zeros((3, 32, 32), np.float32)))
@@ -367,6 +388,13 @@ class TestTrainCommands:
                    "--ckpt", mini["base"], "--out", tmp_path / "x.uirl",
                    "--iterations", "1") == 1
 
+    def test_train_lora_of_one_task_forks_nothing(self, mini, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked a worker"))
+        with usable_cpus(2):
+            assert run("train-lora", "--task", "gaussian_blur",
+                       "--data", mini["data"] / "train.manifest", "--ckpt", mini["base"],
+                       "--out", tmp_path / "blur.uirl", "--iterations", "1") == 0
+
     def test_pretrain_rerun_bit_identical(self, mini, tmp_path):
         outs = []
         for sub in ("p1.uirl", "p2.uirl"):
@@ -481,14 +509,19 @@ class TestStageDefaults:
         assert mini["base"].read_bytes() == self.saved(tmp_path, persist.save_model, model)
 
     def test_train_lora_default_is_library_expert_stage(self, mini, tmp_path):
-        out = tmp_path / "experts.uirl"
-        assert run("train-lora", "--task", "all", "--data", mini["data"] / "train.manifest",
-                   "--ckpt", mini["base"], "--out", out,
-                   "--iterations", "2", "--seed", "3") == 0
-        labels = persist.load_model(out).labels
-        expected = self.library_experts(
-            mini, tmp_path, replace(TrainConfig(), iterations=2, seed=3), labels)
-        assert out.read_bytes() == expected
+        # the library reference trains the experts one after another; the
+        # command trains them in one process, then with a forked worker
+        # training tasks 1 and 3
+        expected = self.library_experts(mini, tmp_path,
+                                        replace(TrainConfig(), iterations=2, seed=3),
+                                        persist.load_model(mini["base"]).labels)
+        for cpus in (1, 2):
+            out = tmp_path / f"experts_{cpus}.uirl"
+            with usable_cpus(cpus):
+                assert run("train-lora", "--task", "all",
+                           "--data", mini["data"] / "train.manifest", "--ckpt", mini["base"],
+                           "--out", out, "--iterations", "2", "--seed", "3") == 0
+            assert out.read_bytes() == expected, cpus
 
     def test_train_router_default_is_library_router(self, mini, tmp_path):
         # mini["router"] is `train-router --seed 3 --iterations 4`
@@ -523,3 +556,70 @@ class TestStageDefaults:
             assert run("train-router", "--data", mini["data"] / "train.manifest",
                        "--out", out, "--seed", "3", "--config", cfg, *flags) == 0
             assert out.read_bytes() == self.library_router(mini, tmp_path, config), flags
+
+
+class TestResidentHeap:
+    """Only the training subcommands ask glibc to keep freed heap mapped."""
+
+    @pytest.fixture
+    def mallopt_calls(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_mallopt", lambda *args: calls.append(args))
+        return calls
+
+    def test_training_subcommands_keep_the_heap(self, mini, tmp_path, mallopt_calls):
+        if platform.libc_ver()[0] != "glibc":
+            pytest.skip("libc is not glibc")
+        train = mini["data"] / "train.manifest"
+        for argv in [
+            ("pretrain-base", "--data", train, "--out", tmp_path / "b.uirl"),
+            ("train-lora", "--task", "all", "--data", train, "--ckpt", mini["base"],
+             "--out", tmp_path / "m.uirl"),
+            ("train-router", "--data", train, "--out", tmp_path / "r.uirl"),
+        ]:
+            mallopt_calls.clear()
+            assert run(*argv, "--iterations", "1") == 0
+            assert mallopt_calls == [(-2, 64 << 20)], argv[0]
+
+    def test_inference_subcommands_leave_the_allocator(self, mini, tmp_path, mallopt_calls):
+        img_path = next((mini["data"] / "test").rglob("*_degraded.ppm"))
+        test = mini["data"] / "test.manifest"
+        assert run("restore", "--ckpt", mini["base"], "--input", img_path,
+                   "--output", tmp_path / "y.ppm", "--auto", "--router", mini["router"]) == 0
+        assert run("eval", "--data", test, "--ckpt", mini["base"], "--strategy", "oracle") == 0
+        assert run("ablate-routing", "--data", test, "--ckpt", mini["base"],
+                   "--router", mini["router"], "--strategies", "average,top1") == 0
+        assert mallopt_calls == []
+
+    def test_no_op_where_libc_is_not_glibc(self, monkeypatch, mallopt_calls):
+        monkeypatch.setattr(platform, "libc_ver", lambda *args: ("", ""))
+        cli._keep_heap_resident()
+        assert mallopt_calls == []
+
+    def test_mallopt_takes_the_top_pad(self):
+        if platform.libc_ver()[0] != "glibc":
+            pytest.skip("libc is not glibc")
+        assert cli._mallopt(-2, 64 << 20) == 1
+
+    def test_importing_lorex_leaves_the_allocator(self):
+        if platform.libc_ver()[0] != "glibc":
+            pytest.skip("libc is not glibc")
+        # ctypes raises an audit event for every symbol it looks up; the
+        # last line checks that the hook sees the helper's lookup
+        code = "\n".join([
+            "import pkgutil, sys",
+            "seen = []",
+            "sys.addaudithook(lambda event, args: seen.append(args[1])"
+            " if event == 'ctypes.dlsym' else None)",
+            "import lorex",
+            "for module in pkgutil.iter_modules(lorex.__path__):",
+            "    __import__('lorex.' + module.name)",
+            "print('mallopt' in seen)",
+            "sys.modules['lorex.cli']._mallopt(-2, 64 << 20)",
+            "print('mallopt' in seen)",
+        ])
+        env = dict(os.environ, PYTHONPATH=str(Path(lorex.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
