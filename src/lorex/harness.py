@@ -12,12 +12,15 @@ image, and one batched SSIM. Every score equals that of restoring and
 scoring the image alone, bit for bit, so a report does not depend on which
 strategies share the pass.
 
-Tasks are scored in ``W = min(tasks, usable cores)`` workers
-(``_in_workers``): the calling process takes tasks 0, W, 2W, ..., and W - 1
-forked children take the rest, one share each. No score depends on the
-tasks scored with it, so the results, put back in manifest order, are the
-ones a single process computes, and every report is identical whatever the
-core count. One worker is used where ``os.fork`` or
+Tasks are scored in ``W = min(tasks, usable cores // BLAS threads)``
+workers, at least one (``_in_workers``): the calling process takes tasks 0,
+W, 2W, ..., and W - 1 forked children take the rest, one share each. Each
+worker runs BLAS with the caller's thread count, and the workers' BLAS
+threads never outnumber the usable cores (two processes of two BLAS threads
+each on two cores train experts 2-3x slower than one process). No score
+depends on the tasks scored with it, so the results, put back in manifest
+order, are the ones a single process computes, and every report is
+identical whatever the core count. One worker is used where ``os.fork`` or
 ``os.sched_getaffinity`` is missing.
 
 ``train_experts`` trains experts the same way, one task per item: an
@@ -28,6 +31,7 @@ count.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import pickle
 import signal
@@ -212,14 +216,38 @@ def _read_in_chunks(task) -> Iterator[tuple[Chunk, np.ndarray]]:
         yield chunk(first, pairs)
 
 
+def _blas_threads() -> int:
+    """The thread count the loaded OpenBLAS reports; 1 where none is found."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError:
+        return 1
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:         # a mapping whose file is gone
+            continue
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            get = getattr(handle, name, None)
+            if get is not None:
+                get.argtypes = ()
+                get.restype = ctypes.c_int
+                return max(1, get())
+    return 1
+
+
 def _worker_count(items: int) -> int:
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
-    return max(1, min(items, len(os.sched_getaffinity(0))))
+    return max(1, min(items, len(os.sched_getaffinity(0)) // _blas_threads()))
 
 
 def _in_workers(fn: Callable[[Sequence], list], items: Sequence) -> list:
-    """``fn`` over ``items`` in ``W = _worker_count(len(items))`` processes;
+    """``fn`` over ``items`` in ``W = _worker_count(len(items))`` processes
+    (one per usable core that BLAS threads leave free, see the module
+    docstring);
     ``fn(share)`` returns one result per item of its share. Worker i gets
     ``items[i::W]``: the caller is worker 0, the others are forked children
     that send their results back pickled through one pipe each. Returns the

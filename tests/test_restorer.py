@@ -2,12 +2,16 @@
 
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import usable_cpus
 
+import lorex
 from lorex import harness, lora, numerics, persist, restorer
 from lorex import router as router_module
 from lorex.degradations import DatasetManifest, TaskRecord, gen_clean_image, read_ppm, write_ppm
@@ -380,6 +384,22 @@ class TestInWorkers:
                                       list(range(7)))
         assert [x for x, _ in got] == list(range(7))
         assert [pid == parent for _, pid in got] == [i % 2 == 0 for i in range(7)]
+
+    @pytest.mark.parametrize("blas_threads,workers", [(1, 2), (2, 1), (3, 1)])
+    def test_workers_leave_the_cores_that_blas_threads_use(self, blas_threads, workers):
+        with usable_cpus(2, blas_threads):
+            assert harness._worker_count(7) == workers
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_blas_thread_count_is_read_from_the_loaded_blas(self, threads):
+        if "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]:
+            pytest.skip("numpy does not use OpenBLAS")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=str(Path(lorex.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "from lorex import harness; print(harness._blas_threads())"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.stdout.split() == [str(threads)], proc.stderr
 
     def test_worker_count_is_at_most_the_item_count(self):
         with usable_cpus(2):
