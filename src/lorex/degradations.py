@@ -16,6 +16,7 @@ File formats owned here:
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -230,38 +231,54 @@ def write_ppm(path, image: Tensor) -> None:
     _write_atomic(path, f"P6\n{w} {h}\n255\n".encode("ascii") + payload)
 
 
-def read_ppm(path) -> Tensor:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if not blob.startswith(b"P6"):
+def _ppm_header(f, path) -> tuple[int, int]:
+    # (w, h) from the header of a PPM file open at its start, leaving ``f``
+    # at the first payload byte; DataError for any header read_ppm rejects
+    if f.read(2) != b"P6":
         raise DataError(f"{path}: not a binary PPM (P6) file")
     fields: list[bytes] = []
-    pos = 2
+    c = f.read(1)
     while len(fields) < 3:
-        while pos < len(blob) and blob[pos:pos + 1].isspace():
-            pos += 1
-        if blob[pos:pos + 1] == b"#":  # comment line
-            while pos < len(blob) and blob[pos:pos + 1] != b"\n":
-                pos += 1
+        while c.isspace():
+            c = f.read(1)
+        if c == b"#":  # comment line
+            while c and c != b"\n":
+                c = f.read(1)
             continue
-        start = pos
-        while pos < len(blob) and not blob[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
+        field = b""
+        while c and not c.isspace():
+            field += c
+            c = f.read(1)
+        if not field:
             raise DataError(f"{path}: truncated PPM header")
-        fields.append(blob[start:pos])
-    pos += 1  # single whitespace after maxval
+        fields.append(field)
+    # the single whitespace after maxval is read, as ``c``
     try:
         w, h, maxval = (int(v) for v in fields)
     except ValueError as exc:
         raise DataError(f"{path}: malformed PPM header") from exc
     if maxval != 255 or w < 1 or h < 1:
         raise DataError(f"{path}: unsupported PPM header (maxval {maxval}, {w}x{h})")
-    payload = blob[pos:pos + 3 * h * w]
+    return w, h
+
+
+def read_ppm(path) -> Tensor:
+    with open(path, "rb") as f:
+        w, h = _ppm_header(f, path)
+        payload = f.read()[:3 * h * w]
     if len(payload) != 3 * h * w:
         raise DataError(f"{path}: PPM payload truncated")
     q = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3)
     return Tensor._wrap((q.transpose(2, 0, 1).astype(DTYPE)) / DTYPE(255))
+
+
+def _check_ppm(path) -> None:
+    """Raise the ``DataError`` that ``read_ppm`` would raise for ``path``,
+    from the header and the file size alone, without reading the pixels."""
+    with open(path, "rb") as f:
+        w, h = _ppm_header(f, path)
+        if os.fstat(f.fileno()).st_size < f.tell() + 3 * h * w:
+            raise DataError(f"{path}: PPM payload truncated")
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +323,9 @@ def write_manifest(path, manifest: DatasetManifest) -> None:
 
 
 def load_manifest(path, verify: bool = True) -> DatasetManifest:
+    """The manifest at ``path``; with ``verify``, every listed image must
+    exist and be a PPM that ``read_ppm`` accepts, which is checked from its
+    header and size without decoding it."""
     path = Path(path)
     base = path.parent
     try:
@@ -345,7 +365,7 @@ def load_manifest(path, verify: bool = True) -> DatasetManifest:
                     if not fp.exists():
                         raise DataError(f"{path}: missing file {fp}")
                     try:
-                        read_ppm(fp)
+                        _check_ppm(fp)
                     except OSError as exc:
                         raise DataError(f"{path}: cannot read {fp} ({exc.strerror})") from None
     return manifest

@@ -12,16 +12,13 @@ image, and one batched SSIM. Every score equals that of restoring and
 scoring the image alone, bit for bit, so a report does not depend on which
 strategies share the pass.
 
-Tasks are scored in ``W = min(tasks, usable cores // BLAS threads)``
-workers, at least one (``_in_workers``): the calling process takes tasks 0,
-W, 2W, ..., and W - 1 forked children take the rest, one share each. Each
-worker runs BLAS with the caller's thread count, and the workers' BLAS
-threads never outnumber the usable cores (two processes of two BLAS threads
-each on two cores train experts 2-3x slower than one process). No score
-depends on the tasks scored with it, so the results, put back in manifest
-order, are the ones a single process computes, and every report is
-identical whatever the core count. One worker is used where ``os.fork`` or
-``os.sched_getaffinity`` is missing.
+Tasks are scored in ``workers.in_workers``: W processes, W being the
+smaller of the task count and the usable cores that BLAS threads leave
+free (see ``workers``). The calling process takes tasks 0, W, 2W, ..., and
+W - 1 forked children take the rest, one share each. No score depends on
+the tasks scored with it, so the results, put back in manifest order, are
+the ones a single process computes, and every report is identical
+whatever the core count.
 
 ``train_experts`` trains experts the same way, one task per item: an
 expert depends only on the base, its own initial factors, its task's pairs
@@ -31,18 +28,14 @@ count.
 
 from __future__ import annotations
 
-import ctypes
-import os
-import pickle
-import signal
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from . import seeding
+from . import seeding, workers
 from .degradations import DatasetManifest, read_ppm
-from .errors import ConfigError, DataError, LorexError
+from .errors import ConfigError, DataError
 from .metrics import MetricReport, psnr, ssim_chunk, ssim_reference
 from .numerics import DTYPE, Tensor
 from .restorer import AdapterTrainer, RestorerModel, TaskData, TrainConfig, restore
@@ -216,114 +209,6 @@ def _read_in_chunks(task) -> Iterator[tuple[Chunk, np.ndarray]]:
         yield chunk(first, pairs)
 
 
-def _blas_threads() -> int:
-    """The thread count the loaded OpenBLAS reports; 1 where none is found."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as maps:
-            libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
-    except OSError:
-        return 1
-    for lib in libs:
-        try:
-            handle = ctypes.CDLL(lib)
-        except OSError:         # a mapping whose file is gone
-            continue
-        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                     "openblas_get_num_threads"):
-            get = getattr(handle, name, None)
-            if get is not None:
-                get.argtypes = ()
-                get.restype = ctypes.c_int
-                return max(1, get())
-    return 1
-
-
-def _worker_count(items: int) -> int:
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return max(1, min(items, len(os.sched_getaffinity(0)) // _blas_threads()))
-
-
-def _in_workers(fn: Callable[[Sequence], list], items: Sequence) -> list:
-    """``fn`` over ``items`` in ``W = _worker_count(len(items))`` processes
-    (one per usable core that BLAS threads leave free, see the module
-    docstring);
-    ``fn(share)`` returns one result per item of its share. Worker i gets
-    ``items[i::W]``: the caller is worker 0, the others are forked children
-    that send their results back pickled through one pipe each. Returns the
-    results in item order.
-
-    An exception raised by ``fn`` in a child is raised here with its type
-    and message; a child that ends without a result (killed, or its pipe
-    cut short) raises ``LorexError``. No child outlives the call: on any
-    failure of the caller's own share the children are killed, and every
-    child is reaped before returning or raising.
-    """
-    workers = _worker_count(len(items))
-    if workers == 1:
-        return fn(items)
-    children = []                   # (pid, the read end of its pipe)
-    status: dict[int, int] = {}
-    try:
-        for i in range(1, workers):
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read_end)
-                os.close(write_end)
-                raise
-            if pid == 0:
-                _child(fn, items[i::workers], read_end, write_end)
-            os.close(write_end)
-            children.append((pid, open(read_end, "rb")))
-        shares = [fn(items[0::workers])]
-        blobs = [pipe.read() for _, pipe in children]
-    except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            status[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    for (pid, _), blob in zip(children, blobs):
-        # a child exits 0 only once its whole result is written
-        if status[pid] != 0 or not blob:
-            how = (f"killed by signal {-status[pid]}" if status[pid] < 0
-                   else f"exit status {status[pid]}")
-            raise LorexError(f"worker process {pid} ended without a result ({how})")
-        ok, value = pickle.loads(blob)
-        if not ok:
-            raise value
-        shares.append(value)
-    results: list = [None] * len(items)
-    for i, share in enumerate(shares):
-        results[i::workers] = share
-    return results
-
-
-def _child(fn, share, read_end: int, write_end: int) -> None:
-    # never returns into the caller's code, and os._exit skips the atexit
-    # handlers and the flush of stdio buffers copied from the parent
-    code = 1
-    try:
-        os.close(read_end)
-        try:
-            blob = pickle.dumps((True, fn(share)))
-        except BaseException as exc:
-            try:
-                blob = pickle.dumps((False, exc))
-                pickle.loads(blob)          # some exception types do not round-trip
-            except Exception:
-                blob = pickle.dumps((False, LorexError(f"{type(exc).__name__}: {exc}")))
-        with open(write_end, "wb") as pipe:
-            pipe.write(blob)
-        code = 0
-    finally:
-        os._exit(code)
-
-
 def train_experts(model: RestorerModel, manifest: DatasetManifest, labels: Sequence[str],
                   config: TrainConfig) -> dict[str, list[float]]:
     """Train the expert of each of ``labels`` on its task's ``manifest``
@@ -331,7 +216,7 @@ def train_experts(model: RestorerModel, manifest: DatasetManifest, labels: Seque
     training losses, in ``labels`` order.
 
     Every label is checked before any image is read or any worker starts.
-    The experts are trained in ``_in_workers``, at most one worker per
+    The experts are trained in ``workers.in_workers``, at most one worker per
     usable core; each worker returns its experts' trained factors, which
     are written back into ``model`` in label order. The model is
     bit-identical to training the experts one after another in one process.
@@ -353,7 +238,7 @@ def train_experts(model: RestorerModel, manifest: DatasetManifest, labels: Seque
         return out
 
     losses = {}
-    for label, (factors, curve) in zip(labels, _in_workers(train, labels)):
+    for label, (factors, curve) in zip(labels, workers.in_workers(train, labels)):
         for param, data in zip(model.adapter_params(model.labels.index(label)), factors):
             param.data[...] = data
         losses[label] = curve
@@ -369,7 +254,7 @@ def evaluate_restoration(model: RestorerModel, manifest: DatasetManifest,
 
     Every strategy is checked against the manifest's labels before any
     image is read or any worker starts. The tasks are scored in
-    ``_in_workers``, at most one worker per usable core; the reports are
+    ``workers.in_workers``, at most one worker per usable core; the reports are
     the same for any worker count. Metrics: restored psnr/ssim plus
     (optionally) the degraded input's psnr_degraded baseline, computed once
     per pair.
@@ -381,7 +266,7 @@ def evaluate_restoration(model: RestorerModel, manifest: DatasetManifest,
         return [_score_task(model, task, strategies, with_baseline) for task in tasks]
 
     results: dict[str, dict[str, dict[str, MetricReport]]] = {name: {} for name in strategies}
-    for task, reports in zip(manifest.tasks, _in_workers(score, manifest.tasks)):
+    for task, reports in zip(manifest.tasks, workers.in_workers(score, manifest.tasks)):
         for name in strategies:
             results[name][task.label] = reports[name]
     return results

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import seeding
+from . import seeding, workers
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .numerics import (
     DTYPE,
@@ -54,6 +54,9 @@ ENCODER_PARAM_DIMS: dict[str, tuple[int, ...]] = {
 # keeps repelling wrong-class embeddings (their cosines end up negative,
 # which is what makes K=T routing match Top-1 after clamping)
 TEMPERATURE = 0.3
+# every router training step sums the gradients of this many fixed shards of
+# its batch (see train_router)
+SHARDS = 2
 
 
 @dataclass
@@ -259,6 +262,16 @@ def train_router(state: RouterState, dataset, config) -> RouterState:
     ``dataset`` is a sequence of (label, images) with one entry per router
     label; bank columns act as class embeddings and are renormalized after
     every step. Mutates ``state`` in place and returns it.
+
+    Each step's batch is split into ``SHARDS`` fixed shards
+    (``np.array_split``; one shard for a batch of one image). Each shard's
+    gradient comes from its own tape, weighted by the shard's share of the
+    batch, and the step sums them in shard order. The shards are computed
+    in ``workers.replicas``: with two usable cores a forked replica computes
+    shard 1 while the caller computes shard 0, both apply the same Adam step
+    and keep identical copies of the router, and only the caller's copy is
+    returned. The split is part of the arithmetic, so the trained router is
+    bit-identical for any worker count.
     """
     by_label = {label: images for label, images in dataset}
     missing = [lb for lb in state.labels if lb not in by_label or len(by_label[lb]) == 0]
@@ -280,14 +293,23 @@ def train_router(state: RouterState, dataset, config) -> RouterState:
     params = state.param_list()
     adam = Adam(params, lr=config.learning_rate)
     inv_temp = 1.0 / TEMPERATURE
-    for it in range(config.iterations):
-        rng = seeding.stream(config.seed, "router-batch", it)
-        idx = rng.integers(0, x_all.shape[0], size=config.batch_size)
+    shards = min(SHARDS, config.batch_size)
+
+    def shard_gradients(idx):
         tape = GradTape()
         d = _encode_batch(state, x_all[idx], tape)
         logits = scale(matmul(d, state.bank, tape), inv_temp, tape)
-        loss = softmax_cross_entropy(logits, y_all[idx], tape)
-        grads = tape.gradients(loss, params)
-        adam.step(grads, lr=cosine_lr(config.learning_rate, it, config.iterations))
-        normalize_bank(state.bank)
+        loss = scale(softmax_cross_entropy(logits, y_all[idx], tape),
+                     len(idx) / config.batch_size, tape)
+        return tape.gradients(loss, params)
+
+    with workers.replicas(shards) as gather:
+        for it in range(config.iterations):
+            rng = seeding.stream(config.seed, "router-batch", it)
+            idx = rng.integers(0, x_all.shape[0], size=config.batch_size)
+            parts = np.array_split(idx, shards)
+            per_shard = gather(lambda i: shard_gradients(parts[i]))
+            grads = [sum(g[1:], g[0]) for g in zip(*per_shard)]
+            adam.step(grads, lr=cosine_lr(config.learning_rate, it, config.iterations))
+            normalize_bank(state.bank)
     return state

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from lorex import harness, persist
+from lorex import persist, workers
 from lorex.degradations import DatasetConfig, make_dataset
 from lorex.harness import PRETRAIN, ROUTER, clean_training_images, router_training_set, \
     train_experts
@@ -33,20 +33,21 @@ settings.register_profile("ci", derandomize=True, deadline=None, max_examples=20
 @contextlib.contextmanager
 def usable_cpus(n: int, blas_threads: int = 1):
     """Restrict this process to its first ``n`` usable CPUs and have the
-    worker rule count ``blas_threads`` BLAS threads, which sets the evaluation
-    and expert-training worker count (``n`` workers by default, whatever the
-    real BLAS thread count, so that forked workers are also tested under a
-    threaded BLAS); skips the test where fewer CPUs are usable."""
+    worker rule count ``blas_threads`` BLAS threads, which sets the number of
+    evaluation and expert-training workers and of router-training processes
+    (``n`` by default, whatever the real BLAS thread count, so that forked
+    workers are also tested under a threaded BLAS); skips the test where
+    fewer CPUs are usable."""
     before = os.sched_getaffinity(0)
     if len(before) < n:
         pytest.skip(f"needs {n} usable CPUs, has {len(before)}")
-    real_blas_threads = harness._blas_threads
+    real_blas_threads = workers._blas_threads
     os.sched_setaffinity(0, sorted(before)[:n])
-    harness._blas_threads = lambda: blas_threads
+    workers._blas_threads = lambda: blas_threads
     try:
         yield
     finally:
-        harness._blas_threads = real_blas_threads
+        workers._blas_threads = real_blas_threads
         os.sched_setaffinity(0, before)
 
 

@@ -38,9 +38,10 @@ def run(*argv) -> int:
     return main([str(a) for a in argv])
 
 
-def run_in_subprocess(*argv) -> subprocess.CompletedProcess:
-    """Run the CLI in a fresh interpreter, so an escaping exception shows as a traceback."""
-    env = dict(os.environ, PYTHONPATH=str(Path(lorex.__file__).parents[1]))
+def run_in_subprocess(*argv, **env_vars) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter, so an escaping exception shows as
+    a traceback; ``env_vars`` are set in its environment."""
+    env = dict(os.environ, PYTHONPATH=str(Path(lorex.__file__).parents[1]), **env_vars)
     return subprocess.run([sys.executable, "-m", "lorex.cli", *map(str, argv)],
                           capture_output=True, text=True, env=env, timeout=120)
 
@@ -410,6 +411,23 @@ class TestTrainCommands:
         assert run("train-router", "--data", mini["data"] / "train.manifest",
                    "--out", out, "--seed", "3", "--iterations", "4") == 0
         assert out.read_bytes() == mini["router"].read_bytes()
+
+    def test_train_router_is_byte_identical_for_any_cpu_or_blas_thread_count(self, mini,
+                                                                              tmp_path):
+        # mini["router"] is the same command, run in this process with every
+        # usable CPU; batch 16 splits into two shards of 8
+        args = ("train-router", "--data", mini["data"] / "train.manifest",
+                "--seed", "3", "--iterations", "4")
+        for cpus in (1, 2):
+            out = tmp_path / f"router_{cpus}cpu.uirl"
+            with usable_cpus(cpus):
+                assert run(*args, "--out", out) == 0
+            assert out.read_bytes() == mini["router"].read_bytes(), cpus
+        for threads in ("1", "2"):
+            out = tmp_path / f"router_{threads}blas.uirl"
+            proc = run_in_subprocess(*args, "--out", out, OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+            assert out.read_bytes() == mini["router"].read_bytes(), threads
 
 
 class TestEvalCommands:

@@ -244,6 +244,24 @@ class TestManifestFormat:
         with pytest.raises(DataError):
             load_manifest(p)
 
+    @pytest.mark.parametrize("change,error", [(-1, "PPM payload truncated"), (0, None),
+                                              (1, None)], ids=["short", "exact", "long"])
+    def test_verify_checks_the_payload_size_like_read_ppm(self, tmp_path, change, error):
+        header = b"P6\n# made by hand\n4 2\n255\n"
+        image = tmp_path / "x.ppm"
+        image.write_bytes(header + b"\x80" * (3 * 4 * 2 + change))
+        p = tmp_path / "m.manifest"
+        p.write_text("#uir-manifest v1 T=1\na\tx.ppm\tx.ppm\n")
+        if error is None:
+            assert load_manifest(p).labels == ("a",)
+            assert read_ppm(image).dims == (3, 2, 4)
+            return
+        with pytest.raises(DataError) as from_manifest:
+            load_manifest(p)
+        with pytest.raises(DataError) as from_read:
+            read_ppm(image)
+        assert str(from_manifest.value) == str(from_read.value) == f"{image}: {error}"
+
     def test_malformed_record_rejected(self, tmp_path):
         p = tmp_path / "m.manifest"
         p.write_text("#uir-manifest v1 T=1\naaa bbb\n")

@@ -1,6 +1,7 @@
 """Byte-level fuzzing of the three file readers: whatever the bytes, only a
 ``LorexError`` may escape ``read_ppm``, ``load_manifest`` and
-``load_checkpoint``.
+``load_checkpoint``, and ``load_manifest`` rejects a listed image exactly
+when ``read_ppm`` does, with the same error.
 
 Each case starts from a valid file and applies up to four random edits.
 Run with ``--hypothesis-profile=ci`` for a fixed, bounded set of examples.
@@ -108,3 +109,23 @@ def test_load_manifest_raises_only_lorex_errors(files, edits):
 def test_load_checkpoint_raises_only_lorex_errors(files, edits):
     reads_or_raises_lorex_error(load_checkpoint, files["root"] / "fuzz.uirl",
                                 mutate(files["checkpoint"], edits))
+
+
+def outcome(read, path):
+    try:
+        read(path)
+    except LorexError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@FUZZ
+@given(edits=EDITS)
+def test_load_manifest_rejects_exactly_the_images_read_ppm_rejects(files, edits):
+    # verification reads only the header and the size, and must still
+    # reject what decoding the image would
+    root = files["root"]
+    (root / "fuzz_image.ppm").write_bytes(mutate(files["ppm"], edits))
+    manifest = root / "fuzz_image.manifest"
+    manifest.write_text("#uir-manifest v1 T=1\nx\tfuzz_image.ppm\tfuzz_image.ppm\n")
+    assert outcome(load_manifest, manifest) == outcome(read_ppm, root / "fuzz_image.ppm")

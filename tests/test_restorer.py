@@ -12,7 +12,7 @@ import pytest
 from conftest import usable_cpus
 
 import lorex
-from lorex import harness, lora, numerics, persist, restorer
+from lorex import harness, lora, numerics, persist, restorer, workers
 from lorex import router as router_module
 from lorex.degradations import DatasetManifest, TaskRecord, gen_clean_image, read_ppm, write_ppm
 from lorex.errors import ConfigError, DataError, LorexError, ShapeError
@@ -380,15 +380,15 @@ class TestInWorkers:
     def test_results_come_back_in_item_order(self):
         parent = os.getpid()
         with usable_cpus(2):
-            got = harness._in_workers(lambda share: [(x, os.getpid()) for x in share],
+            got = workers.in_workers(lambda share: [(x, os.getpid()) for x in share],
                                       list(range(7)))
         assert [x for x, _ in got] == list(range(7))
         assert [pid == parent for _, pid in got] == [i % 2 == 0 for i in range(7)]
 
-    @pytest.mark.parametrize("blas_threads,workers", [(1, 2), (2, 1), (3, 1)])
-    def test_workers_leave_the_cores_that_blas_threads_use(self, blas_threads, workers):
+    @pytest.mark.parametrize("blas_threads,count", [(1, 2), (2, 1), (3, 1)])
+    def test_workers_leave_the_cores_that_blas_threads_use(self, blas_threads, count):
         with usable_cpus(2, blas_threads):
-            assert harness._worker_count(7) == workers
+            assert workers._worker_count(7) == count
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_blas_thread_count_is_read_from_the_loaded_blas(self, threads):
@@ -397,14 +397,14 @@ class TestInWorkers:
         env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
                    PYTHONPATH=str(Path(lorex.__file__).parents[1]))
         proc = subprocess.run(
-            [sys.executable, "-c", "from lorex import harness; print(harness._blas_threads())"],
+            [sys.executable, "-c", "from lorex import workers; print(workers._blas_threads())"],
             capture_output=True, text=True, env=env, timeout=60)
         assert proc.stdout.split() == [str(threads)], proc.stderr
 
     def test_worker_count_is_at_most_the_item_count(self):
         with usable_cpus(2):
-            assert harness._in_workers(lambda share: [os.getpid()], ["one"]) == [os.getpid()]
-        assert harness._in_workers(lambda share: list(share), []) == []
+            assert workers.in_workers(lambda share: [os.getpid()], ["one"]) == [os.getpid()]
+        assert workers.in_workers(lambda share: list(share), []) == []
 
     def test_killed_worker_raises_lorex_error(self):
         parent = os.getpid()
@@ -415,7 +415,7 @@ class TestInWorkers:
             return list(share)
 
         with usable_cpus(2), pytest.raises(LorexError, match="killed by signal 9"):
-            harness._in_workers(fn, [0, 1])
+            workers.in_workers(fn, [0, 1])
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -430,8 +430,29 @@ class TestInWorkers:
 
         t0 = time.monotonic()
         with usable_cpus(2), pytest.raises(ConfigError, match="caller's share"):
-            harness._in_workers(fn, [0, 1])
+            workers.in_workers(fn, [0, 1])
         assert time.monotonic() - t0 < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failing_worker_stops_the_caller_between_its_items(self):
+        # the caller's share is items 0, 2, ..., 10: six items of 1 s each;
+        # the child's first item raises at once
+        parent = os.getpid()
+        started = []
+
+        def fn(share):
+            if os.getpid() != parent:
+                raise ConfigError("the worker's item failed")
+            started.extend(share)
+            time.sleep(1)
+            return list(share)
+
+        t0 = time.monotonic()
+        with usable_cpus(2), pytest.raises(ConfigError, match="worker's item"):
+            workers.in_workers(fn, list(range(12)))
+        assert time.monotonic() - t0 < 4
+        assert started == [0]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

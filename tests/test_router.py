@@ -1,16 +1,22 @@
 """Routing algebra and the degradation encoder's contracts."""
 
+import os
+import signal
+import time
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
+from conftest import usable_cpus
 
-from lorex import router
+from lorex import router, seeding, workers
 from lorex.degradations import DEFAULT_TASKS, DatasetManifest, DegradationSpec, TaskRecord, \
     apply_degradation, gen_clean_image, read_ppm, write_ppm
-from lorex.errors import ConfigError, DataError, NumericError, ShapeError
+from lorex.errors import ConfigError, DataError, LorexError, NumericError, ShapeError
 from lorex.harness import routing_accuracy
-from lorex.numerics import Tensor
+from lorex.numerics import Adam, GradTape, Tensor, cosine_lr, matmul, scale, \
+    softmax_cross_entropy
 from lorex.restorer import TrainConfig
 from lorex.router import (
     RouterState,
@@ -286,6 +292,127 @@ class TestTrainRouter:
         train_router(state, self._dataset(labels),
                      TrainConfig(iterations=5, batch_size=4, seed=2))
         np.testing.assert_allclose(np.linalg.norm(state.bank.data, axis=0), 1.0, atol=1e-6)
+
+
+def router_bytes(state) -> bytes:
+    return state.bank.data.tobytes() + b"".join(
+        state.params[k].data.tobytes() for k in sorted(state.params))
+
+
+class TestRouterReplicas:
+    """train_router sums two half-batch gradients per step, computed by the
+    caller and a forked replica when two workers fit."""
+
+    LABELS = ("a", "b", "c")
+    CONFIG = TrainConfig(iterations=6, batch_size=5, seed=5)
+
+    def _dataset(self):
+        return TestTrainRouter()._dataset(self.LABELS)
+
+    def serial_two_shard_loop(self) -> bytes:
+        # the step spelled out: shards of 3 and 2 images, each shard's loss
+        # weighted by its share of the batch, gradients summed in shard order
+        state = build_router(self.LABELS, seed=11)
+        x = np.stack([img.data for _, imgs in self._dataset() for img in imgs])
+        y = np.repeat(np.arange(len(self.LABELS)), 6)
+        config = self.CONFIG
+        params = state.param_list()
+        adam = Adam(params, lr=config.learning_rate)
+        for it in range(config.iterations):
+            idx = seeding.stream(config.seed, "router-batch", it).integers(
+                0, len(x), size=config.batch_size)
+            first, second = idx[:3], idx[3:]
+            grads = []
+            for part in (first, second):
+                tape = GradTape()
+                d = router._encode_batch(state, x[part], tape)
+                logits = scale(matmul(d, state.bank, tape), 1.0 / router.TEMPERATURE, tape)
+                loss = scale(softmax_cross_entropy(logits, y[part], tape),
+                             len(part) / config.batch_size, tape)
+                grads.append(tape.gradients(loss, params))
+            adam.step([a + b for a, b in zip(*grads)],
+                      lr=cosine_lr(config.learning_rate, it, config.iterations))
+            router.normalize_bank(state.bank)
+        return router_bytes(state)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_equals_a_serial_two_shard_loop(self, cpus):
+        state = build_router(self.LABELS, seed=11)
+        with usable_cpus(cpus):
+            train_router(state, self._dataset(), self.CONFIG)
+        assert router_bytes(state) == self.serial_two_shard_loop()
+
+    def test_failing_replica_raises_its_error_in_the_caller(self, monkeypatch):
+        parent = os.getpid()
+        encode = router._encode_batch
+
+        def encode_or_fail(*args):
+            if os.getpid() != parent:
+                raise ShapeError("the replica's shard failed")
+            return encode(*args)
+
+        monkeypatch.setattr(router, "_encode_batch", encode_or_fail)
+        state = build_router(self.LABELS, seed=11)
+        with usable_cpus(2), pytest.raises(ShapeError, match="replica's shard"):
+            train_router(state, self._dataset(), self.CONFIG)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_batch_of_one_forks_nothing(self, monkeypatch):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked a replica"))
+        state = build_router(self.LABELS, seed=11)
+        with usable_cpus(2):
+            train_router(state, self._dataset(), replace(self.CONFIG, batch_size=1))
+
+
+class TestReplicas:
+    def test_every_process_gets_every_shard_in_order(self):
+        parent = os.getpid()
+        with usable_cpus(2), workers.replicas(2) as gather:
+            got = [gather(lambda i: (i, step, os.getpid())) for step in range(3)]
+        assert [[(i, step) for i, step, _ in shards] for shards in got] == \
+            [[(0, step), (1, step)] for step in range(3)]
+        assert all(shards[0][2] == parent != shards[1][2] for shards in got)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_messages_larger_than_a_pipe_buffer_swap(self):
+        # 8 MB each way, far past the 64 KiB Linux pipe buffer
+        with usable_cpus(2), workers.replicas(2) as gather:
+            shards = gather(lambda i: np.full(1 << 21, i, np.float32))
+        assert [float(shard.sum()) for shard in shards] == [0.0, float(1 << 21)]
+
+    def test_one_worker_computes_every_shard_in_turn(self, monkeypatch):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked a replica"))
+        with usable_cpus(1), workers.replicas(3) as gather:
+            assert gather(lambda i: (i, os.getpid())) == [(i, os.getpid()) for i in range(3)]
+
+    def test_killed_replica_raises_lorex_error(self):
+        parent = os.getpid()
+
+        def fn(i):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return i
+
+        with usable_cpus(2), pytest.raises(LorexError, match="killed by signal 9"):
+            with workers.replicas(2) as gather:
+                gather(fn)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failing_caller_kills_the_replica(self):
+        parent = os.getpid()
+        t0 = time.monotonic()
+        with usable_cpus(2), pytest.raises(ConfigError, match="caller failed"):
+            with workers.replicas(2) as gather:
+                gather(lambda i: i)
+                if os.getpid() != parent:
+                    time.sleep(60)
+                raise ConfigError("the caller failed")
+        assert time.monotonic() - t0 < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestRoutingAccuracy:
