@@ -9,6 +9,11 @@ Negative scores are clamped to zero before renormalizing so the weights
 stay a convex combination; if every masked score is non-positive the
 weights fall back to uniform 1/K over the masked indices. Ties in the
 Top-K selection break toward the lowest index.
+
+``train_router`` trains encoder and bank jointly, data-parallel: each step
+sums the gradients of two fixed half-batch shards, which a forked replica
+and the caller compute side by side where two cores are free
+(``workers.replicas``). The router is bit-identical for any worker count.
 """
 
 from __future__ import annotations

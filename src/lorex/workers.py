@@ -129,24 +129,23 @@ def _fork(children: list[_Link], duplex: bool) -> _Link:
     the earlier ``children``."""
     up = os.pipe()
     down = os.pipe() if duplex else None
-    fds = up + (down or ())
     try:
         pid = os.fork()
     except BaseException:
-        for fd in fds:
+        for fd in up + (down or ()):
             os.close(fd)
         raise
-    # each side keeps the read end of one pipe and the write end of the other
-    inbox, outbox = (down, up) if pid == 0 else (up, down)
-    keep = (inbox[0] if inbox else -1, outbox[1] if outbox else -1)
-    for fd in fds:
-        if fd not in keep:
-            os.close(fd)
     if pid == 0:
+        os.close(up[0])
+        if down:
+            os.close(down[1])
         for child in children:
             child.close()
-    return _Link(pid, open(inbox[0], "rb") if inbox else None,
-                 open(outbox[1], "wb") if outbox else None)
+        return _Link(0, down and open(down[0], "rb"), open(up[1], "wb"))
+    os.close(up[1])
+    if down:
+        os.close(down[0])
+    return _Link(pid, open(up[0], "rb"), down and open(down[1], "wb"))
 
 
 def in_workers(fn: Callable[[Sequence], list], items: Sequence) -> list:

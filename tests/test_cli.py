@@ -15,9 +15,11 @@ from conftest import usable_cpus
 
 import lorex
 from lorex import cli, degradations, harness, persist
+from lorex import router as router_module
 from lorex.checkpoint import load_checkpoint, save_checkpoint
 from lorex.cli import main
 from lorex.degradations import gen_clean_image, load_manifest, read_ppm, write_ppm
+from lorex.errors import NumericError
 from lorex.harness import PRETRAIN, ROUTER, clean_training_images, load_task_data, \
     router_training_set
 from lorex.numerics import Tensor
@@ -234,6 +236,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert_one_error_line(err)
         assert str(clean_path) in err
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failure_in_a_router_replica_is_1(self, mini, tmp_path, capsys, monkeypatch):
+        parent = os.getpid()
+        encode = router_module._encode_batch
+
+        def encode_or_fail(*args):
+            if os.getpid() != parent:
+                raise NumericError("the replica's shard failed")
+            return encode(*args)
+
+        monkeypatch.setattr(router_module, "_encode_batch", encode_or_fail)
+        out = tmp_path / "router.uirl"
+        with usable_cpus(2):
+            assert run("train-router", "--data", mini["data"] / "train.manifest",
+                       "--out", out, "--iterations", "2") == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "replica's shard failed" in err
         assert not out.exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
