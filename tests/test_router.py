@@ -252,20 +252,19 @@ class TestCropCorrection:
         np.testing.assert_array_equal(crop.data, img.data[:, 8:40, 16:48])
 
 
+def training_set(labels, per_label=6):
+    return [(label, [gen_clean_image(1000 * i + j, (32, 32)) for j in range(per_label)])
+            for i, label in enumerate(labels)]
+
+
 class TestTrainRouter:
-    def _dataset(self, labels, per_label=6):
-        data = []
-        for i, label in enumerate(labels):
-            imgs = [gen_clean_image(1000 * i + j, (32, 32)) for j in range(per_label)]
-            data.append((label, imgs))
-        return data
 
     def test_zero_iterations_unchanged(self):
         labels = ("a", "b")
         state = build_router(labels, seed=11)
         before = {k: v.data.tobytes() for k, v in state.params.items()}
         before_bank = state.bank.data.tobytes()
-        train_router(state, self._dataset(labels), TrainConfig(iterations=0, seed=1))
+        train_router(state, training_set(labels), TrainConfig(iterations=0, seed=1))
         assert state.bank.data.tobytes() == before_bank
         assert all(state.params[k].data.tobytes() == v for k, v in before.items())
 
@@ -274,7 +273,7 @@ class TestTrainRouter:
         results = []
         for _ in range(2):
             state = build_router(labels, seed=11)
-            train_router(state, self._dataset(labels),
+            train_router(state, training_set(labels),
                          TrainConfig(iterations=8, batch_size=4, seed=5))
             blob = state.bank.data.tobytes() + b"".join(
                 state.params[k].data.tobytes() for k in sorted(state.params))
@@ -284,12 +283,12 @@ class TestTrainRouter:
     def test_missing_label_coverage_rejected(self):
         state = build_router(("a", "b"), seed=11)
         with pytest.raises(DataError):
-            train_router(state, self._dataset(("a",)), TrainConfig(iterations=1, seed=1))
+            train_router(state, training_set(("a",)), TrainConfig(iterations=1, seed=1))
 
     def test_bank_stays_normalized_after_training(self):
         labels = ("a", "b")
         state = build_router(labels, seed=11)
-        train_router(state, self._dataset(labels),
+        train_router(state, training_set(labels),
                      TrainConfig(iterations=5, batch_size=4, seed=2))
         np.testing.assert_allclose(np.linalg.norm(state.bank.data, axis=0), 1.0, atol=1e-6)
 
@@ -306,14 +305,11 @@ class TestRouterReplicas:
     LABELS = ("a", "b", "c")
     CONFIG = TrainConfig(iterations=6, batch_size=5, seed=5)
 
-    def _dataset(self):
-        return TestTrainRouter()._dataset(self.LABELS)
-
     def serial_two_shard_loop(self) -> bytes:
         # the step spelled out: shards of 3 and 2 images, each shard's loss
         # weighted by its share of the batch, gradients summed in shard order
         state = build_router(self.LABELS, seed=11)
-        x = np.stack([img.data for _, imgs in self._dataset() for img in imgs])
+        x = np.stack([img.data for _, imgs in training_set(self.LABELS) for img in imgs])
         y = np.repeat(np.arange(len(self.LABELS)), 6)
         config = self.CONFIG
         params = state.param_list()
@@ -339,7 +335,7 @@ class TestRouterReplicas:
     def test_equals_a_serial_two_shard_loop(self, cpus):
         state = build_router(self.LABELS, seed=11)
         with usable_cpus(cpus):
-            train_router(state, self._dataset(), self.CONFIG)
+            train_router(state, training_set(self.LABELS), self.CONFIG)
         assert router_bytes(state) == self.serial_two_shard_loop()
 
     def test_failing_replica_raises_its_error_in_the_caller(self, monkeypatch):
@@ -354,7 +350,7 @@ class TestRouterReplicas:
         monkeypatch.setattr(router, "_encode_batch", encode_or_fail)
         state = build_router(self.LABELS, seed=11)
         with usable_cpus(2), pytest.raises(ShapeError, match="replica's shard"):
-            train_router(state, self._dataset(), self.CONFIG)
+            train_router(state, training_set(self.LABELS), self.CONFIG)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -362,7 +358,7 @@ class TestRouterReplicas:
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked a replica"))
         state = build_router(self.LABELS, seed=11)
         with usable_cpus(2):
-            train_router(state, self._dataset(), replace(self.CONFIG, batch_size=1))
+            train_router(state, training_set(self.LABELS), replace(self.CONFIG, batch_size=1))
 
 
 class TestReplicas:
