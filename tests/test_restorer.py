@@ -381,7 +381,7 @@ class TestInWorkers:
         parent = os.getpid()
         with usable_cpus(2):
             got = workers.in_workers(lambda share: [(x, os.getpid()) for x in share],
-                                      list(range(7)))
+                                     list(range(7)))
         assert [x for x, _ in got] == list(range(7))
         assert [pid == parent for _, pid in got] == [i % 2 == 0 for i in range(7)]
 
