@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import seeding
+from . import seeding, workers
 from .errors import ConfigError, DataError, ShapeError
 from .lora import (
     AdaptedLayer,
@@ -274,6 +274,11 @@ def pretrain_base(model: RestorerModel, clean_images: Sequence[Tensor],
 
     Requires untouched (zero-initialized) adapters; after this the base is
     frozen by convention — no other training routine writes to it.
+
+    Data-parallel: the steps are ``workers.train_sharded``'s, with each
+    shard's L1 reconstruction loss as its loss. With two usable cores a
+    forked replica computes one half-batch shard while the caller computes
+    the other; the base is bit-identical for any worker count.
     """
     if not clean_images:
         raise DataError("pretraining requires a non-empty clean image set")
@@ -284,17 +289,12 @@ def pretrain_base(model: RestorerModel, clean_images: Sequence[Tensor],
 
     data = np.stack([img.data for img in clean_images])
     zeros = np.zeros(model.t, DTYPE)
-    params = model.base_params()
-    adam = Adam(params, lr=config.learning_rate)
-    for it in range(config.iterations):
-        rng = seeding.stream(config.seed, "pretrain-batch", it)
-        idx = rng.integers(0, data.shape[0], size=config.batch_size)
+
+    def shard_loss(idx, tape):
         batch = Tensor._wrap(data[idx])
-        tape = GradTape()
-        out = forward(model, batch, zeros, tape)
-        loss = l1_loss(out, batch, tape)
-        adam.step(tape.gradients(loss, params),
-                  lr=cosine_lr(config.learning_rate, it, config.iterations))
+        return l1_loss(forward(model, batch, zeros, tape), batch, tape)
+
+    workers.train_sharded(model.base_params(), config, "pretrain-batch", len(data), shard_loss)
     return model
 
 

@@ -10,10 +10,11 @@ stay a convex combination; if every masked score is non-positive the
 weights fall back to uniform 1/K over the masked indices. Ties in the
 Top-K selection break toward the lowest index.
 
-``train_router`` trains encoder and bank jointly, data-parallel: each step
-sums the gradients of two fixed half-batch shards, which a forked replica
-and the caller compute side by side where two cores are free
-(``workers.replicas``). The router is bit-identical for any worker count.
+``train_router`` trains encoder and bank jointly, data-parallel, in the
+training step it shares with base pretraining (``workers.train_sharded``):
+each step sums the gradients of two fixed half-batch shards, which a forked
+replica and the caller compute side by side where two cores are free. The
+router is bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -26,12 +27,10 @@ from . import seeding, workers
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .numerics import (
     DTYPE,
-    Adam,
     GradTape,
     Tensor,
     bias_add,
     conv2d,
-    cosine_lr,
     global_avg_pool,
     l2_normalize_rows,
     leaky_relu,
@@ -59,9 +58,6 @@ ENCODER_PARAM_DIMS: dict[str, tuple[int, ...]] = {
 # keeps repelling wrong-class embeddings (their cosines end up negative,
 # which is what makes K=T routing match Top-1 after clamping)
 TEMPERATURE = 0.3
-# every router training step sums the gradients of this many fixed shards of
-# its batch (see train_router)
-SHARDS = 2
 
 
 @dataclass
@@ -268,15 +264,8 @@ def train_router(state: RouterState, dataset, config) -> RouterState:
     label; bank columns act as class embeddings and are renormalized after
     every step. Mutates ``state`` in place and returns it.
 
-    Each step's batch is split into ``SHARDS`` fixed shards
-    (``np.array_split``; one shard for a batch of one image). Each shard's
-    gradient comes from its own tape, weighted by the shard's share of the
-    batch, and the step sums them in shard order. The shards are computed
-    in ``workers.replicas``: with two usable cores a forked replica computes
-    shard 1 while the caller computes shard 0, both apply the same Adam step
-    and keep identical copies of the router, and only the caller's copy is
-    returned. The split is part of the arithmetic, so the trained router is
-    bit-identical for any worker count.
+    The steps are ``workers.train_sharded``'s, with each shard's
+    cross-entropy as its loss.
     """
     by_label = {label: images for label, images in dataset}
     missing = [lb for lb in state.labels if lb not in by_label or len(by_label[lb]) == 0]
@@ -292,29 +281,13 @@ def train_router(state: RouterState, dataset, config) -> RouterState:
             ys.append(idx)
     x_all = np.stack(xs)
     y_all = np.asarray(ys, dtype=np.int64)
-
-    if config.iterations == 0:
-        return state
-    params = state.param_list()
-    adam = Adam(params, lr=config.learning_rate)
     inv_temp = 1.0 / TEMPERATURE
-    shards = min(SHARDS, config.batch_size)
 
-    def shard_gradients(idx):
-        tape = GradTape()
+    def shard_loss(idx, tape):
         d = _encode_batch(state, x_all[idx], tape)
         logits = scale(matmul(d, state.bank, tape), inv_temp, tape)
-        loss = scale(softmax_cross_entropy(logits, y_all[idx], tape),
-                     len(idx) / config.batch_size, tape)
-        return tape.gradients(loss, params)
+        return softmax_cross_entropy(logits, y_all[idx], tape)
 
-    with workers.replicas(shards) as gather:
-        for it in range(config.iterations):
-            rng = seeding.stream(config.seed, "router-batch", it)
-            idx = rng.integers(0, x_all.shape[0], size=config.batch_size)
-            parts = np.array_split(idx, shards)
-            per_shard = gather(lambda i: shard_gradients(parts[i]))
-            grads = [sum(g[1:], g[0]) for g in zip(*per_shard)]
-            adam.step(grads, lr=cosine_lr(config.learning_rate, it, config.iterations))
-            normalize_bank(state.bank)
+    workers.train_sharded(state.param_list(), config, "router-batch", len(x_all), shard_loss,
+                          after_step=lambda: normalize_bank(state.bank))
     return state

@@ -10,15 +10,18 @@ experts 2-3x slower than one process).
 ``in_workers`` splits independent items among W processes: evaluation
 scores tasks with it and ``train_experts`` trains experts with it.
 ``replicas`` runs one loop in W processes that swap per-shard results at
-every step: router training computes its two half-batch gradients with it.
+every step: ``train_sharded``, the training step of router training and
+base pretraining, computes its two half-batch gradients with it.
 
 Children send their results back through pipes, each message a pickled
 ``(ok, value)`` behind its length. An exception raised in a child is
 raised in the caller with its type and message, and a child that ends
 without a result raises ``LorexError``. No child outlives the call: on any
-failure the caller kills its children, and every child is reaped before
-the caller returns or raises. Children end in ``os._exit``, which skips the
-atexit handlers and the flush of stdio buffers copied from the parent.
+failure the caller kills its children, every child is reaped before the
+caller returns or raises, and where libc has ``prctl`` (Linux) the kernel
+kills a child whose caller is killed by a signal. Children end in
+``os._exit``, which skips the atexit handlers and the flush of stdio
+buffers copied from the parent.
 """
 
 from __future__ import annotations
@@ -31,7 +34,16 @@ import select
 import signal
 from typing import Callable, Iterator, Sequence
 
+import numpy as np
+
+from . import seeding
 from .errors import LorexError
+from .numerics import Adam, GradTape, Tensor, cosine_lr, scale
+
+# every data-parallel training step (train_sharded) sums the gradients of this
+# many fixed shards of its batch
+SHARDS = 2
+_PR_SET_PDEATHSIG = 1      # <sys/prctl.h>
 
 
 def _blas_threads() -> int:
@@ -129,6 +141,7 @@ def _fork(children: list[_Link], duplex: bool) -> _Link:
     the earlier ``children``."""
     up = os.pipe()
     down = os.pipe() if duplex else None
+    parent, prctl = os.getpid(), getattr(ctypes.CDLL(None), "prctl", None)
     try:
         pid = os.fork()
     except BaseException:
@@ -136,6 +149,7 @@ def _fork(children: list[_Link], duplex: bool) -> _Link:
             os.close(fd)
         raise
     if pid == 0:
+        _end_with(parent, prctl)
         os.close(up[0])
         if down:
             os.close(down[1])
@@ -146,6 +160,66 @@ def _fork(children: list[_Link], duplex: bool) -> _Link:
     if down:
         os.close(down[0])
     return _Link(pid, open(up[0], "rb"), down and open(down[1], "wb"))
+
+
+def _end_with(parent: int, prctl) -> None:
+    # in a forked process: ask for SIGKILL when the forking thread ends, and
+    # exit if the caller ended before the request took effect (prctl is
+    # looked up before the fork, so the child does not enter the loader)
+    if prctl is None:
+        return
+    prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+    prctl.restype = ctypes.c_int
+    if prctl(_PR_SET_PDEATHSIG, signal.SIGKILL) == 0 and os.getppid() != parent:
+        os._exit(1)
+
+
+@contextlib.contextmanager
+def _forked(count: int, duplex: bool) -> Iterator[tuple[int, list[_Link]]]:
+    """Run the ``with`` body in the caller and in ``count - 1`` processes
+    forked by ``_fork``; yields ``(rank, links)``: 0 and the links to the
+    children in the caller, r and the one link to the caller in child r.
+    A child exits when its body ends, sending any exception it raised.
+    After its body the caller closes its pipes to the children, reaps them
+    and raises the exception of one that did not exit cleanly. Failures
+    are handled as the module docstring says.
+    """
+    children: list[_Link] = []
+    try:
+        for rank in range(1, count):
+            link = _fork(children, duplex)
+            if link.pid == 0:
+                yield from _child(rank, link)
+            children.append(link)
+        yield 0, children
+        for child in children:
+            if child.outbox is not None:
+                child.outbox.close()
+            if child.reap() != 0:
+                child.receive()     # the child's exception, or LorexError
+    except BaseException:
+        for child in children:
+            child.kill()
+        raise
+    finally:
+        for child in children:
+            child.close()
+            child.reap()
+
+
+def _child(rank: int, link: _Link) -> Iterator[tuple[int, list[_Link]]]:
+    # the with body of ``_forked`` in child ``rank``; never returns into the
+    # caller's code
+    code = 1
+    try:
+        try:
+            yield rank, [link]
+            code = 0
+        except BaseException as exc:
+            link.outbox.write(_message(False, exc))
+        link.close()
+    finally:
+        os._exit(code)
 
 
 def in_workers(fn: Callable[[Sequence], list], items: Sequence) -> list:
@@ -162,51 +236,25 @@ def in_workers(fn: Callable[[Sequence], list], items: Sequence) -> list:
     workers = _worker_count(len(items))
     if workers == 1:
         return fn(items)
-    children: list[_Link] = []
     shares: dict[int, list] = {}
-    try:
-        for i in range(1, workers):
-            link = _fork(children, duplex=False)
-            if link.pid == 0:
-                _child(fn, items[i::workers], link.outbox)
-            children.append(link)
-        pending = {child.inbox: (i, child) for i, child in enumerate(children, 1)}
-        own: list = []
-        for item in items[0::workers]:
-            own.extend(fn([item]))
-            for inbox in select.select(list(pending), [], [], 0)[0]:
-                i, child = pending.pop(inbox)
+    with _forked(workers, duplex=False) as (rank, links):
+        if rank:
+            links[0].outbox.write(_message(True, fn(items[rank::workers])))
+        else:
+            pending = {child.inbox: (i, child) for i, child in enumerate(links, 1)}
+            own: list = []
+            for item in items[0::workers]:
+                own.extend(fn([item]))
+                for inbox in select.select(list(pending), [], [], 0)[0]:
+                    i, child = pending.pop(inbox)
+                    shares[i] = child.receive()
+            shares[0] = own
+            for i, child in pending.values():
                 shares[i] = child.receive()
-        shares[0] = own
-        for i, child in pending.values():
-            shares[i] = child.receive()
-    except BaseException:
-        for child in children:
-            child.kill()
-        raise
-    finally:
-        for child in children:
-            child.close()
-            child.reap()
     results: list = [None] * len(items)
     for i, share in shares.items():
         results[i::workers] = share
     return results
-
-
-def _child(fn, share, pipe) -> None:
-    # never returns into the caller's code
-    code = 1
-    try:
-        with pipe:
-            try:
-                message = _message(True, fn(share))
-            except BaseException as exc:
-                message = _message(False, exc)
-            pipe.write(message)
-        code = 0
-    finally:
-        os._exit(code)
 
 
 Gather = Callable[[Callable[[int], object]], list]
@@ -234,62 +282,57 @@ def replicas(shards: int) -> Iterator[Gather]:
     says.
     """
     count = _worker_count(shards)
-    if count == 1:
-        yield lambda fn: [fn(i) for i in range(shards)]
-        return
-    children: list[_Link] = []
-
-    def gather(fn):
-        results = {i: fn(i) for i in range(0, shards, count)}
-        for child in children:
-            results.update(child.receive())
-        for rank, child in enumerate(children, 1):
-            child.outbox.write(_message(True, {i: value for i, value in results.items()
-                                               if i % count != rank}))
-            child.outbox.flush()
-        return [results[i] for i in range(shards)]
-
-    try:
-        for rank in range(1, count):
-            link = _fork(children, duplex=True)
-            if link.pid == 0:
-                yield from _replica(rank, count, shards, link)
-            children.append(link)
-        yield gather
-        for child in children:
-            child.outbox.close()
-            if child.reap() != 0:
-                child.receive()     # the replica's exception, or LorexError
-    except BaseException:
-        for child in children:
-            child.kill()
-        raise
-    finally:
-        for child in children:
-            child.close()
-            child.reap()
-
-
-def _replica(rank: int, count: int, shards: int, link: _Link) -> Iterator[Gather]:
-    # the body of replica ``rank`` of ``replicas``; never returns into the
-    # caller's code
-    code = 1
-    try:
-        with link.outbox as up, link.inbox as down:
-            def gather(fn):
-                results = {i: fn(i) for i in range(rank, shards, count)}
-                up.write(_message(True, results))
-                up.flush()
-                message = _read(down)
+    with _forked(count, duplex=True) as (rank, links):
+        def gather(fn):
+            results = {i: fn(i) for i in range(rank, shards, count)}
+            if rank:
+                links[0].outbox.write(_message(True, results))
+                links[0].outbox.flush()
+                message = _read(links[0].inbox)
                 if message is None:
                     raise LorexError("the calling process ended")
                 results.update(message[1])
-                return [results[i] for i in range(shards)]
+            else:
+                for child in links:
+                    results.update(child.receive())
+                for r, child in enumerate(links, 1):
+                    child.outbox.write(_message(True, {i: value for i, value in results.items()
+                                                       if i % count != r}))
+                    child.outbox.flush()
+            return [results[i] for i in range(shards)]
 
-            try:
-                yield gather
-                code = 0
-            except BaseException as exc:
-                up.write(_message(False, exc))
-    finally:
-        os._exit(code)
+        yield gather
+
+
+def train_sharded(params: list[Tensor], config, tag: str, count: int,
+                  shard_loss: Callable[[np.ndarray, GradTape], Tensor],
+                  after_step: Callable[[], None] = lambda: None) -> None:
+    """Train ``params`` in place for ``config.iterations`` Adam steps at
+    ``cosine_lr``, data-parallel (``config`` is a ``restorer.TrainConfig``).
+
+    Step ``it`` draws ``batch_size`` indices below ``count`` from
+    ``seeding.stream(config.seed, tag, it)``, splits them into
+    ``min(SHARDS, batch_size)`` fixed shards (``np.array_split``), and sums
+    in shard order the gradients of each shard's ``shard_loss(idx, tape)``
+    weighted by its share of the batch, computed in ``replicas``. The Adam
+    step follows, then ``after_step()``. The result is bit-identical for
+    any W.
+    """
+    if config.iterations == 0:
+        return
+    adam = Adam(params, lr=config.learning_rate)
+    shards = min(SHARDS, config.batch_size)
+
+    def shard_gradients(idx):
+        tape = GradTape()
+        loss = scale(shard_loss(idx, tape), len(idx) / config.batch_size, tape)
+        return tape.gradients(loss, params)
+
+    with replicas(shards) as gather:
+        for it in range(config.iterations):
+            idx = seeding.stream(config.seed, tag, it).integers(0, count, size=config.batch_size)
+            parts = np.array_split(idx, shards)
+            per_shard = gather(lambda i: shard_gradients(parts[i]))
+            adam.step([sum(g[1:], g[0]) for g in zip(*per_shard)],
+                      lr=cosine_lr(config.learning_rate, it, config.iterations))
+            after_step()

@@ -34,10 +34,10 @@ settings.register_profile("ci", derandomize=True, deadline=None, max_examples=20
 def usable_cpus(n: int, blas_threads: int = 1):
     """Restrict this process to its first ``n`` usable CPUs and have the
     worker rule count ``blas_threads`` BLAS threads, which sets the number of
-    evaluation and expert-training workers and of router-training processes
-    (``n`` by default, whatever the real BLAS thread count, so that forked
-    workers are also tested under a threaded BLAS); skips the test where
-    fewer CPUs are usable."""
+    evaluation and expert-training workers and of pretraining and
+    router-training processes (``n`` by default, whatever the real BLAS
+    thread count, so that forked workers are also tested under a threaded
+    BLAS); skips the test where fewer CPUs are usable."""
     before = os.sched_getaffinity(0)
     if len(before) < n:
         pytest.skip(f"needs {n} usable CPUs, has {len(before)}")

@@ -4,8 +4,10 @@ import hashlib
 import os
 import platform
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -47,6 +49,31 @@ def run_in_subprocess(*argv, **env_vars) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-m", "lorex.cli", *map(str, argv)],
                           capture_output=True, text=True, env=env, timeout=120)
 
+
+def process_state(pid: int) -> str | None:
+    """The state letter of process ``pid`` (R, S, Z, ...), None if it is gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return None
+    return stat.rsplit(")", 1)[1].split()[0]
+
+
+def running(pid: int) -> bool:
+    return process_state(pid) not in (None, "Z", "X")
+
+
+def children_of(pid: int) -> list[int]:
+    """The ids of the live processes whose parent is ``pid``."""
+    found = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (FileNotFoundError, ProcessLookupError):
+            continue
+        if int(fields[1]) == pid and fields[0] not in ("Z", "X"):
+            found.append(int(stat.parent.name))
+    return found
 
 def assert_one_error_line(stderr: str) -> None:
     lines = stderr.splitlines()
@@ -452,6 +479,54 @@ class TestTrainCommands:
             assert proc.returncode == 0, proc.stderr
             assert out.read_bytes() == mini["router"].read_bytes(), threads
 
+
+    def test_pretrain_base_is_byte_identical_for_any_cpu_or_blas_thread_count(self, mini,
+                                                                               tmp_path):
+        # mini["base"] is the same command, run in this process with every
+        # usable CPU; batch 8 splits into two shards of 4
+        args = ("pretrain-base", "--data", mini["data"] / "train.manifest",
+                "--seed", "3", "--iterations", "4")
+        for cpus in (1, 2):
+            out = tmp_path / f"base_{cpus}cpu.uirl"
+            with usable_cpus(cpus):
+                assert run(*args, "--out", out) == 0
+            assert out.read_bytes() == mini["base"].read_bytes(), cpus
+        for threads in ("1", "2"):
+            out = tmp_path / f"base_{threads}blas.uirl"
+            proc = run_in_subprocess(*args, "--out", out, OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+            assert out.read_bytes() == mini["base"].read_bytes(), threads
+
+    def test_no_training_worker_outlives_a_sigterm(self, mini, tmp_path):
+        # SIGTERM (from timeout, a scheduler or a closed terminal) kills the
+        # command at once, without running any of its cleanup
+        env = dict(os.environ, PYTHONPATH=str(Path(lorex.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS="1")
+        argv = [sys.executable, "-m", "lorex.cli", "train-lora", "--task", "all",
+                "--data", mini["data"] / "train.manifest", "--ckpt", mini["base"],
+                "--out", tmp_path / "all.uirl", "--iterations", "100000"]
+        with usable_cpus(2):
+            proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL,
+                                    stderr=subprocess.DEVNULL)
+        worker = None
+        try:
+            deadline = time.monotonic() + 60
+            while not (found := children_of(proc.pid)) and time.monotonic() < deadline:
+                assert proc.poll() is None, proc.returncode
+                time.sleep(0.02)
+            assert found, "no expert worker was forked"
+            worker = found[0]
+            proc.send_signal(signal.SIGTERM)
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 1
+            while running(worker) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not running(worker)
+        finally:
+            proc.kill()
+            proc.wait()
+            if worker is not None and running(worker):
+                os.kill(worker, signal.SIGKILL)
 
 class TestEvalCommands:
     def test_eval_oracle_lines(self, mini, tmp_path, capsys):

@@ -12,7 +12,7 @@ import pytest
 from conftest import usable_cpus
 
 import lorex
-from lorex import harness, lora, numerics, persist, restorer, workers
+from lorex import harness, lora, numerics, persist, restorer, seeding, workers
 from lorex import router as router_module
 from lorex.degradations import DatasetManifest, TaskRecord, gen_clean_image, read_ppm, write_ppm
 from lorex.errors import ConfigError, DataError, LorexError, ShapeError
@@ -529,6 +529,60 @@ class TestPretrainBase:
         after = float(np.abs(forward(model, x, zeros).data - x.data).mean())
         assert after < before
 
+
+
+class TestPretrainReplicas:
+    """pretrain_base sums two half-batch gradients per step, computed by the
+    caller and a forked replica when two workers fit."""
+
+    IMAGES = [gen_clean_image(i, (32, 32)) for i in range(6)]
+    CONFIG = TrainConfig(learning_rate=2e-3, iterations=4, batch_size=5, seed=9)
+
+    def serial_two_shard_loop(self) -> str:
+        # the step spelled out: shards of 3 and 2 images, each shard's L1 loss
+        # weighted by its share of the batch, gradients summed in shard order
+        model = build_model(LABELS, seed=4)
+        data = np.stack([img.data for img in self.IMAGES])
+        zeros = np.zeros(len(LABELS), np.float32)
+        config = self.CONFIG
+        params = model.base_params()
+        adam = numerics.Adam(params, lr=config.learning_rate)
+        for it in range(config.iterations):
+            idx = seeding.stream(config.seed, "pretrain-batch", it).integers(
+                0, len(data), size=config.batch_size)
+            grads = []
+            for part in (idx[:3], idx[3:]):
+                tape = GradTape()
+                batch = Tensor(data[part])
+                loss = numerics.scale(
+                    numerics.l1_loss(forward(model, batch, zeros, tape), batch, tape),
+                    len(part) / config.batch_size, tape)
+                grads.append(tape.gradients(loss, params))
+            adam.step([a + b for a, b in zip(*grads)],
+                      lr=numerics.cosine_lr(config.learning_rate, it, config.iterations))
+        return persist.base_digest(model)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_equals_a_serial_two_shard_loop(self, cpus):
+        model = build_model(LABELS, seed=4)
+        with usable_cpus(cpus):
+            pretrain_base(model, self.IMAGES, self.CONFIG)
+        assert persist.base_digest(model) == self.serial_two_shard_loop()
+
+    def test_failing_replica_raises_its_error_in_the_caller(self, monkeypatch):
+        parent = os.getpid()
+        l1_loss = restorer.l1_loss
+
+        def l1_loss_or_fail(*args):
+            if os.getpid() != parent:
+                raise ShapeError("the replica's shard failed")
+            return l1_loss(*args)
+
+        monkeypatch.setattr(restorer, "l1_loss", l1_loss_or_fail)
+        with usable_cpus(2), pytest.raises(ShapeError, match="replica's shard"):
+            pretrain_base(build_model(LABELS, seed=4), self.IMAGES, self.CONFIG)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 class TestTrainLora:
     def test_only_target_adapter_changes(self, rng):
