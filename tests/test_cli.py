@@ -50,30 +50,29 @@ def run_in_subprocess(*argv, **env_vars) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, env=env, timeout=120)
 
 
-def process_state(pid: int) -> str | None:
-    """The state letter of process ``pid`` (R, S, Z, ...), None if it is gone."""
+def stat_fields(pid: int) -> list[str] | None:
+    """The fields of ``/proc/<pid>/stat`` after the command name (state,
+    then parent id, ...), or None if process ``pid`` is gone."""
     try:
-        stat = Path(f"/proc/{pid}/stat").read_text()
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
     except (FileNotFoundError, ProcessLookupError):
         return None
-    return stat.rsplit(")", 1)[1].split()[0]
 
 
 def running(pid: int) -> bool:
-    return process_state(pid) not in (None, "Z", "X")
+    fields = stat_fields(pid)
+    return fields is not None and fields[0] not in ("Z", "X")
 
 
 def children_of(pid: int) -> list[int]:
-    """The ids of the live processes whose parent is ``pid``."""
+    """The ids of the running processes whose parent is ``pid``."""
     found = []
-    for stat in Path("/proc").glob("[0-9]*/stat"):
-        try:
-            fields = stat.read_text().rsplit(")", 1)[1].split()
-        except (FileNotFoundError, ProcessLookupError):
-            continue
-        if int(fields[1]) == pid and fields[0] not in ("Z", "X"):
-            found.append(int(stat.parent.name))
+    for entry in Path("/proc").iterdir():
+        fields = stat_fields(int(entry.name)) if entry.name.isdigit() else None
+        if fields is not None and fields[0] not in ("Z", "X") and int(fields[1]) == pid:
+            found.append(int(entry.name))
     return found
+
 
 def assert_one_error_line(stderr: str) -> None:
     lines = stderr.splitlines()
