@@ -32,13 +32,16 @@ import os
 import pickle
 import select
 import signal
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import seeding
 from .errors import LorexError
 from .numerics import Adam, GradTape, Tensor, cosine_lr, scale
+
+if TYPE_CHECKING:
+    from .restorer import TrainConfig
 
 # every data-parallel training step (train_sharded) sums the gradients of this
 # many fixed shards of its batch
@@ -214,10 +217,12 @@ def _child(rank: int, link: _Link) -> Iterator[tuple[int, list[_Link]]]:
     try:
         try:
             yield rank, [link]
-            code = 0
         except BaseException as exc:
             link.outbox.write(_message(False, exc))
-        link.close()
+            link.close()
+        else:
+            link.close()        # flushes the body's last message
+            code = 0
     finally:
         os._exit(code)
 
@@ -304,13 +309,13 @@ def replicas(shards: int) -> Iterator[Gather]:
         yield gather
 
 
-def train_sharded(params: list[Tensor], config, tag: str, count: int,
+def train_sharded(params: list[Tensor], config: TrainConfig, tag: str, population: int,
                   shard_loss: Callable[[np.ndarray, GradTape], Tensor],
                   after_step: Callable[[], None] = lambda: None) -> None:
     """Train ``params`` in place for ``config.iterations`` Adam steps at
-    ``cosine_lr``, data-parallel (``config`` is a ``restorer.TrainConfig``).
+    ``cosine_lr``, data-parallel, on ``population`` training examples.
 
-    Step ``it`` draws ``batch_size`` indices below ``count`` from
+    Step ``it`` draws ``batch_size`` example indices below ``population`` from
     ``seeding.stream(config.seed, tag, it)``, splits them into
     ``min(SHARDS, batch_size)`` fixed shards (``np.array_split``), and sums
     in shard order the gradients of each shard's ``shard_loss(idx, tape)``
@@ -330,7 +335,7 @@ def train_sharded(params: list[Tensor], config, tag: str, count: int,
 
     with replicas(shards) as gather:
         for it in range(config.iterations):
-            idx = seeding.stream(config.seed, tag, it).integers(0, count, size=config.batch_size)
+            idx = seeding.stream(config.seed, tag, it).integers(0, population, config.batch_size)
             parts = np.array_split(idx, shards)
             per_shard = gather(lambda i: shard_gradients(parts[i]))
             adam.step([sum(g[1:], g[0]) for g in zip(*per_shard)],

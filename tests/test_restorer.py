@@ -456,6 +456,19 @@ class TestInWorkers:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_worker_whose_last_message_cannot_be_flushed_fails(self):
+        # a worker's buffered last message is flushed as it exits; the pipe
+        # under it is swapped for one with no reader, so the flush fails
+        with pytest.raises(LorexError, match="exit status 1"):
+            with workers._forked(2, duplex=False) as (rank, links):
+                if rank:
+                    reader, writer = os.pipe()
+                    os.close(reader)
+                    os.dup2(writer, links[0].outbox.fileno())
+                    links[0].outbox.write(b"cut short")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
 
 class TestMergedEquivalence:
     def test_whole_network_agreement(self, rng, monkeypatch):
