@@ -102,9 +102,8 @@ def _read(pipe) -> tuple | None:
 class _Link:
     """The pipes between the caller and one forked process, as either side
     holds them: ``pid`` is the other process's id in the caller and 0 in
-    the forked process, ``inbox`` is read and ``outbox`` written (None
-    where the link has no such pipe). ``code`` is the forked process's exit
-    code once the caller reaps it."""
+    the forked process, ``inbox`` is read and ``outbox`` written. ``code``
+    is the forked process's exit code once the caller reaps it."""
 
     def __init__(self, pid: int, inbox, outbox):
         self.pid, self.inbox, self.outbox = pid, inbox, outbox
@@ -133,36 +132,31 @@ class _Link:
             os.kill(self.pid, signal.SIGKILL)
 
     def close(self) -> None:
-        for pipe in (self.inbox, self.outbox):
-            if pipe is not None:
-                pipe.close()
+        self.inbox.close()
+        self.outbox.close()
 
 
-def _fork(children: list[_Link], duplex: bool) -> _Link:
-    """Fork one process, linked to the caller by a pipe from it and, if
-    ``duplex``, one to it. The forked process closes the caller's links to
-    the earlier ``children``."""
-    up = os.pipe()
-    down = os.pipe() if duplex else None
+def _fork(children: list[_Link]) -> _Link:
+    """Fork one process, linked to the caller by a pipe each way. The
+    forked process closes the caller's links to the earlier ``children``."""
+    up, down = os.pipe(), os.pipe()
     parent, prctl = os.getpid(), getattr(ctypes.CDLL(None), "prctl", None)
     try:
         pid = os.fork()
     except BaseException:
-        for fd in up + (down or ()):
+        for fd in up + down:
             os.close(fd)
         raise
     if pid == 0:
         _end_with(parent, prctl)
         os.close(up[0])
-        if down:
-            os.close(down[1])
+        os.close(down[1])
         for child in children:
             child.close()
-        return _Link(0, down and open(down[0], "rb"), open(up[1], "wb"))
+        return _Link(0, open(down[0], "rb"), open(up[1], "wb"))
     os.close(up[1])
-    if down:
-        os.close(down[0])
-    return _Link(pid, open(up[0], "rb"), down and open(down[1], "wb"))
+    os.close(down[0])
+    return _Link(pid, open(up[0], "rb"), open(down[1], "wb"))
 
 
 def _end_with(parent: int, prctl) -> None:
@@ -178,7 +172,7 @@ def _end_with(parent: int, prctl) -> None:
 
 
 @contextlib.contextmanager
-def _forked(count: int, duplex: bool) -> Iterator[tuple[int, list[_Link]]]:
+def _forked(count: int) -> Iterator[tuple[int, list[_Link]]]:
     """Run the ``with`` body in the caller and in ``count - 1`` processes
     forked by ``_fork``; yields ``(rank, links)``: 0 and the links to the
     children in the caller, r and the one link to the caller in child r.
@@ -190,14 +184,13 @@ def _forked(count: int, duplex: bool) -> Iterator[tuple[int, list[_Link]]]:
     children: list[_Link] = []
     try:
         for rank in range(1, count):
-            link = _fork(children, duplex)
+            link = _fork(children)
             if link.pid == 0:
                 yield from _child(rank, link)
             children.append(link)
         yield 0, children
         for child in children:
-            if child.outbox is not None:
-                child.outbox.close()
+            child.outbox.close()
             if child.reap() != 0:
                 child.receive()     # the child's exception, or LorexError
     except BaseException:
@@ -242,7 +235,7 @@ def in_workers(fn: Callable[[Sequence], list], items: Sequence) -> list:
     if workers == 1:
         return fn(items)
     shares: dict[int, list] = {}
-    with _forked(workers, duplex=False) as (rank, links):
+    with _forked(workers) as (rank, links):
         if rank:
             links[0].outbox.write(_message(True, fn(items[rank::workers])))
         else:
@@ -287,7 +280,7 @@ def replicas(shards: int) -> Iterator[Gather]:
     says.
     """
     count = _worker_count(shards)
-    with _forked(count, duplex=True) as (rank, links):
+    with _forked(count) as (rank, links):
         def gather(fn):
             results = {i: fn(i) for i in range(rank, shards, count)}
             if rank:

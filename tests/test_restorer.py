@@ -460,7 +460,7 @@ class TestInWorkers:
         # a worker's buffered last message is flushed as it exits; the pipe
         # under it is swapped for one with no reader, so the flush fails
         with pytest.raises(LorexError, match="exit status 1"):
-            with workers._forked(2, duplex=False) as (rank, links):
+            with workers._forked(2) as (rank, links):
                 if rank:
                     reader, writer = os.pipe()
                     os.close(reader)
