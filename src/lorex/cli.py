@@ -188,6 +188,10 @@ def cmd_train_router(args) -> int:
 
 
 def cmd_restore(args) -> int:
+    if args.auto and args.s is not None:
+        raise ConfigError("--s cannot be combined with --auto")
+    if not args.auto and (args.router or args.k is not None):
+        raise ConfigError("--router and -K apply only with --auto")
     model = persist.load_model(args.ckpt)
     image = read_ppm(args.input)
     if args.auto:
@@ -218,6 +222,8 @@ def _eval_lines(results, prefix: str = "") -> tuple[list[str], list]:
 
 
 def cmd_eval(args) -> int:
+    if args.s is not None and args.strategy != "manual":
+        raise ConfigError("--s applies only with --strategy manual")
     opt = _Options(args)
     model = persist.load_model(args.ckpt)
     router = persist.load_router(args.router) if args.router else None

@@ -12,13 +12,13 @@ image, and one batched SSIM. Every score equals that of restoring and
 scoring the image alone, bit for bit, so a report does not depend on which
 strategies share the pass.
 
-Tasks are scored in ``workers.in_workers``: W processes, W being the
-smaller of the task count and the usable cores that BLAS threads leave
-free (see ``workers``). The calling process takes tasks 0, W, 2W, ..., and
-W - 1 forked children take the rest, one share each. No score depends on
-the tasks scored with it, so the results, put back in manifest order, are
-the ones a single process computes, and every report is identical
-whatever the core count.
+Tasks are scored one per item in ``workers.in_workers`` (one ``gather`` of
+``workers.replicas``): W processes, W being the smaller of the task count
+and the usable cores that BLAS threads leave free (see ``workers``). The
+calling process takes tasks 0, W, 2W, ..., and W - 1 forked children take
+the rest. No score depends on the tasks scored with it, so the reports, in
+manifest order, are the ones a single process computes, whatever the core
+count.
 
 ``train_experts`` trains experts the same way, one task per item: an
 expert depends only on the base, its own initial factors, its task's pairs
@@ -216,10 +216,11 @@ def train_experts(model: RestorerModel, manifest: DatasetManifest, labels: Seque
     training losses, in ``labels`` order.
 
     Every label is checked before any image is read or any worker starts.
-    The experts are trained in ``workers.in_workers``, at most one worker per
-    usable core; each worker returns its experts' trained factors, which
-    are written back into ``model`` in label order. The model is
-    bit-identical to training the experts one after another in one process.
+    The experts are trained one per item in ``workers.in_workers``, at most
+    one worker per usable core; each item's result is its expert's trained
+    factors and losses, and the factors are written back into ``model`` in
+    label order. The model is bit-identical to training the experts one
+    after another in one process.
     """
     labels = list(labels)
     for i, label in enumerate(labels):
@@ -229,13 +230,10 @@ def train_experts(model: RestorerModel, manifest: DatasetManifest, labels: Seque
             raise ConfigError(f"task {label!r} is listed more than once")
         manifest.task(label)            # DataError if the manifest lacks it
 
-    def train(share):
-        out = []
-        for label in share:
-            trainer = AdapterTrainer(model, model.labels.index(label),
-                                     load_task_data(manifest, label), config).run()
-            out.append(([p.data for p in trainer.params], trainer.losses))
-        return out
+    def train(label):
+        trainer = AdapterTrainer(model, model.labels.index(label),
+                                 load_task_data(manifest, label), config).run()
+        return [p.data for p in trainer.params], trainer.losses
 
     losses = {}
     for label, (factors, curve) in zip(labels, workers.in_workers(train, labels)):
@@ -253,17 +251,17 @@ def evaluate_restoration(model: RestorerModel, manifest: DatasetManifest,
     report, tasks in manifest order.
 
     Every strategy is checked against the manifest's labels before any
-    image is read or any worker starts. The tasks are scored in
-    ``workers.in_workers``, at most one worker per usable core; the reports are
-    the same for any worker count. Metrics: restored psnr/ssim plus
+    image is read or any worker starts. The tasks are scored one per item
+    in ``workers.in_workers``, at most one worker per usable core; the
+    reports are the same for any worker count. Metrics: restored psnr/ssim plus
     (optionally) the degraded input's psnr_degraded baseline, computed once
     per pair.
     """
     for name, strategy in strategies.items():
         strategy.check(name, manifest.labels)
 
-    def score(tasks):
-        return [_score_task(model, task, strategies, with_baseline) for task in tasks]
+    def score(task):
+        return _score_task(model, task, strategies, with_baseline)
 
     results: dict[str, dict[str, dict[str, MetricReport]]] = {name: {} for name in strategies}
     for task, reports in zip(manifest.tasks, workers.in_workers(score, manifest.tasks)):

@@ -1,4 +1,4 @@
-"""Forked worker processes: how many, and the two ways lorex uses them.
+"""Forked worker processes: how many, and the one way lorex runs work in them.
 
 The worker count is ``W = min(items, usable cores // BLAS threads)``, at
 least one (``_worker_count``), and one where ``os.fork`` or
@@ -7,13 +7,14 @@ caller's thread count, so the workers' BLAS threads never outnumber the
 usable cores (two processes of two BLAS threads each on two cores train
 experts 2-3x slower than one process).
 
-``in_workers`` splits independent items among W processes: evaluation
+``replicas`` runs one loop in W processes that split the shards of each
+step among them and swap the results in its ``gather``, so every process
+gets every shard's result: ``train_sharded``, the training step of router
+training and base pretraining, computes its two half-batch gradients with
+it. ``in_workers`` is one ``gather`` over independent items: evaluation
 scores tasks with it and ``train_experts`` trains experts with it.
-``replicas`` runs one loop in W processes that swap per-shard results at
-every step: ``train_sharded``, the training step of router training and
-base pretraining, computes its two half-batch gradients with it.
 
-Children send their results back through pipes, each message a pickled
+Processes send their results through pipes, each message a pickled
 ``(ok, value)`` behind its length. An exception raised in a child is
 raised in the caller with its type and message, and a child that ends
 without a result raises ``LorexError``. No child outlives the call: on any
@@ -178,8 +179,9 @@ def _forked(count: int) -> Iterator[tuple[int, list[_Link]]]:
     children in the caller, r and the one link to the caller in child r.
     A child exits when its body ends, sending any exception it raised.
     After its body the caller closes its pipes to the children, reaps them
-    and raises the exception of one that did not exit cleanly. Failures
-    are handled as the module docstring says.
+    and raises the exception of one that did not exit cleanly, or
+    ``LorexError`` if it sent none. Failures are handled as the module
+    docstring says.
     """
     children: list[_Link] = []
     try:
@@ -192,7 +194,8 @@ def _forked(count: int) -> Iterator[tuple[int, list[_Link]]]:
         for child in children:
             child.outbox.close()
             if child.reap() != 0:
-                child.receive()     # the child's exception, or LorexError
+                while True:     # past any result the body left unread
+                    child.receive()
     except BaseException:
         for child in children:
             child.kill()
@@ -220,41 +223,6 @@ def _child(rank: int, link: _Link) -> Iterator[tuple[int, list[_Link]]]:
         os._exit(code)
 
 
-def in_workers(fn: Callable[[Sequence], list], items: Sequence) -> list:
-    """``fn`` over ``items`` in ``W = _worker_count(len(items))`` processes;
-    ``fn(share)`` returns one result per item of its share. Worker i gets
-    ``items[i::W]``: the caller is worker 0 and runs ``fn`` on one item at a
-    time, the others are forked children that run ``fn`` on their whole
-    share and send the results back. Returns the results in item order.
-
-    Between its items the caller polls the children's pipes, so a child
-    that fails stops the caller after its current item rather than after
-    its whole share. Failures are raised as the module docstring says.
-    """
-    workers = _worker_count(len(items))
-    if workers == 1:
-        return fn(items)
-    shares: dict[int, list] = {}
-    with _forked(workers) as (rank, links):
-        if rank:
-            links[0].outbox.write(_message(True, fn(items[rank::workers])))
-        else:
-            pending = {child.inbox: (i, child) for i, child in enumerate(links, 1)}
-            own: list = []
-            for item in items[0::workers]:
-                own.extend(fn([item]))
-                for inbox in select.select(list(pending), [], [], 0)[0]:
-                    i, child = pending.pop(inbox)
-                    shares[i] = child.receive()
-            shares[0] = own
-            for i, child in pending.values():
-                shares[i] = child.receive()
-    results: list = [None] * len(items)
-    for i, share in shares.items():
-        results[i::workers] = share
-    return results
-
-
 Gather = Callable[[Callable[[int], object]], list]
 
 
@@ -273,6 +241,11 @@ def replicas(shards: int) -> Iterator[Gather]:
     stays bit-identical across processes. With W = 1 the caller computes
     every shard in turn.
 
+    The caller computes its shards one at a time and after each one takes
+    in the results of any replica that has sent them, so a replica that
+    fails stops the caller after its current shard rather than after all
+    of them.
+
     A replica runs the body to its end and exits; only the caller leaves
     the ``with`` block. The body must therefore have no effect outside its
     process other than through ``gather``, and must call it the same number
@@ -282,8 +255,8 @@ def replicas(shards: int) -> Iterator[Gather]:
     count = _worker_count(shards)
     with _forked(count) as (rank, links):
         def gather(fn):
-            results = {i: fn(i) for i in range(rank, shards, count)}
             if rank:
+                results = {i: fn(i) for i in range(rank, shards, count)}
                 links[0].outbox.write(_message(True, results))
                 links[0].outbox.flush()
                 message = _read(links[0].inbox)
@@ -291,7 +264,12 @@ def replicas(shards: int) -> Iterator[Gather]:
                     raise LorexError("the calling process ended")
                 results.update(message[1])
             else:
-                for child in links:
+                results, waiting = {}, {child.inbox: child for child in links}
+                for i in range(0, shards, count):
+                    results[i] = fn(i)
+                    for inbox in select.select(list(waiting), [], [], 0)[0]:
+                        results.update(waiting.pop(inbox).receive())
+                for child in waiting.values():
                     results.update(child.receive())
                 for r, child in enumerate(links, 1):
                     child.outbox.write(_message(True, {i: value for i, value in results.items()
@@ -300,6 +278,16 @@ def replicas(shards: int) -> Iterator[Gather]:
             return [results[i] for i in range(shards)]
 
         yield gather
+
+
+def in_workers(fn: Callable[[object], object], items: Sequence) -> list:
+    """``[fn(item) for item in items]``, computed by one ``gather`` of
+    ``replicas(len(items))``: worker r of W runs ``fn`` on ``items[r::W]``,
+    the caller being worker 0, and every worker gets every result. A
+    worker that fails stops the caller after its current item.
+    """
+    with replicas(len(items)) as gather:
+        return gather(lambda i: fn(items[i]))
 
 
 def train_sharded(params: list[Tensor], config: TrainConfig, tag: str, population: int,

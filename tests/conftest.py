@@ -51,6 +51,17 @@ def usable_cpus(n: int, blas_threads: int = 1):
         os.sched_setaffinity(0, before)
 
 
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a forked child running or unreaped."""
+    yield
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail("the test left a forked child running or unreaped")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -333,6 +333,19 @@ class TestExitCodes:
         assert_one_error_line(proc.stderr)
         assert not (tmp_path / "y.ppm").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--s", "0,1,0,0,0", "-K", "2"],
+        ["--s", "0,1,0,0,0", "--router", "ROUTER"],
+        ["--auto", "--router", "ROUTER", "--s", "0,1,0,0,0"],
+    ], ids=["k-without-auto", "router-without-auto", "s-with-auto"])
+    def test_restore_flag_without_effect_is_1(self, mini, tmp_path, capsys, argv):
+        img = next((mini["data"] / "test").rglob("*_degraded.ppm"))
+        argv = [mini["router"] if arg == "ROUTER" else arg for arg in argv]
+        assert run("restore", "--ckpt", mini["base"], "--input", img,
+                   "--output", tmp_path / "y.ppm", *argv) == 1
+        assert_one_error_line(capsys.readouterr().err)
+        assert not (tmp_path / "y.ppm").exists()
+
     def test_empty_strategy_list_is_1(self, mini, tmp_path, capsys):
         assert run("ablate-routing", "--data", mini["data"] / "test.manifest",
                    "--ckpt", mini["base"], "--router", mini["router"],
@@ -349,11 +362,13 @@ class TestExitCodes:
         ("test", ["ablate-routing", "--strategies", "top1,topk", "-K", "6"]),
         ("test", ["eval", "--strategy", "manual"]),
         ("test", ["eval", "--strategy", "topk", "-K", "6"]),
+        ("test", ["eval", "--s", "0,1,0,0,0"]),
+        ("test", ["eval", "--strategy", "oracle", "--s", "0,1,0,0,0"]),
         ("mixed", ["ablate-routing", "--strategies", "top1,oracle"]),
         ("mixed", ["eval", "--strategy", "oracle"]),
     ], ids=["unknown", "repeated", "manual-without-vector", "topk-k-0", "topk-k-past-t",
-            "eval-manual-without-vector", "eval-topk-k-past-t", "oracle-unknown-label",
-            "eval-oracle-unknown-label"])
+            "eval-manual-without-vector", "eval-topk-k-past-t", "eval-vector-without-manual",
+            "eval-vector-with-oracle", "oracle-unknown-label", "eval-oracle-unknown-label"])
     def test_bad_strategy_is_1_before_any_image_is_evaluated(self, mini, tmp_path, capsys,
                                                              monkeypatch, split, argv):
         def no_read(path):

@@ -380,8 +380,7 @@ class TestInWorkers:
     def test_results_come_back_in_item_order(self):
         parent = os.getpid()
         with usable_cpus(2):
-            got = workers.in_workers(lambda share: [(x, os.getpid()) for x in share],
-                                     list(range(7)))
+            got = workers.in_workers(lambda x: (x, os.getpid()), list(range(7)))
         assert [x for x, _ in got] == list(range(7))
         assert [pid == parent for _, pid in got] == [i % 2 == 0 for i in range(7)]
 
@@ -403,16 +402,16 @@ class TestInWorkers:
 
     def test_worker_count_is_at_most_the_item_count(self):
         with usable_cpus(2):
-            assert workers.in_workers(lambda share: [os.getpid()], ["one"]) == [os.getpid()]
-        assert workers.in_workers(lambda share: list(share), []) == []
+            assert workers.in_workers(lambda item: os.getpid(), ["one"]) == [os.getpid()]
+        assert workers.in_workers(lambda item: item, []) == []
 
     def test_killed_worker_raises_lorex_error(self):
         parent = os.getpid()
 
-        def fn(share):
+        def fn(item):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return list(share)
+            return item
 
         with usable_cpus(2), pytest.raises(LorexError, match="killed by signal 9"):
             workers.in_workers(fn, [0, 1])
@@ -422,11 +421,11 @@ class TestInWorkers:
     def test_failing_caller_share_kills_the_workers(self):
         parent = os.getpid()
 
-        def fn(share):
+        def fn(item):
             if os.getpid() == parent:
                 raise ConfigError("the caller's share failed")
             time.sleep(60)
-            return list(share)
+            return item
 
         t0 = time.monotonic()
         with usable_cpus(2), pytest.raises(ConfigError, match="caller's share"):
@@ -441,12 +440,12 @@ class TestInWorkers:
         parent = os.getpid()
         started = []
 
-        def fn(share):
+        def fn(item):
             if os.getpid() != parent:
                 raise ConfigError("the worker's item failed")
-            started.extend(share)
+            started.append(item)
             time.sleep(1)
-            return list(share)
+            return item
 
         t0 = time.monotonic()
         with usable_cpus(2), pytest.raises(ConfigError, match="worker's item"):

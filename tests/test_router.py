@@ -410,6 +410,18 @@ class TestReplicas:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_replica_failing_after_its_last_gather_raises_in_the_caller(self):
+        # the replica's extra gather sends a result the caller never reads,
+        # then fails to read the caller's; its failure comes after that result
+        parent = os.getpid()
+        with usable_cpus(2), pytest.raises(LorexError, match="calling process ended"):
+            with workers.replicas(2) as gather:
+                gather(lambda i: i)
+                if os.getpid() != parent:
+                    gather(lambda i: i)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
 
 class TestRoutingAccuracy:
     SIZES = ((32, 32), (48, 40), (64, 64), (40, 56))
