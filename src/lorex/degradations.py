@@ -272,6 +272,14 @@ def read_ppm(path) -> Tensor:
     return Tensor._wrap((q.transpose(2, 0, 1).astype(DTYPE)) / DTYPE(255))
 
 
+def ppm_dims(path) -> tuple[int, int]:
+    """(h, w) of the PPM at ``path``, from its header alone; ``DataError``
+    for any header ``read_ppm`` rejects."""
+    with open(path, "rb") as f:
+        w, h = _ppm_header(f, path)
+    return h, w
+
+
 def _check_ppm(path) -> None:
     """Raise the ``DataError`` that ``read_ppm`` would raise for ``path``,
     from the header and the file size alone, without reading the pixels."""

@@ -12,13 +12,19 @@ image, and one batched SSIM. Every score equals that of restoring and
 scoring the image alone, bit for bit, so a report does not depend on which
 strategies share the pass.
 
-Tasks are scored one per item in ``workers.in_workers`` (one ``gather`` of
-``workers.replicas``): W processes, W being the smaller of the task count
-and the usable cores that BLAS threads leave free (see ``workers``). The
-calling process takes tasks 0, W, 2W, ..., and W - 1 forked children take
-the rest. No score depends on the tasks scored with it, so the reports, in
-manifest order, are the ones a single process computes, whatever the core
-count.
+The items of ``workers.in_workers`` (one ``gather`` of
+``workers.replicas``) are runs, not tasks: each task's pairs are cut into
+runs of as many consecutive pairs as one chunk of the task's first image
+holds, so workers get equal shares of images when tasks are not a multiple
+of the worker count (two workers score 20 and 20 of five tasks of 8 pairs,
+not 24 and 16). A run is chunked as a whole task is, and each chunk keeps
+its images' indices within the task. W processes score the runs, W being
+the smaller of the run count and the usable cores that BLAS threads leave
+free (see ``workers``): the calling process takes runs 0, W, 2W, ..., and
+W - 1 forked children take the rest. No score depends on the images scored
+with it, and each task's values are joined in manifest order before its
+reports are built, so the reports are the ones a single process computes,
+whatever the core count.
 
 ``train_experts`` trains experts the same way, one task per item: an
 expert depends only on the base, its own initial factors, its task's pairs
@@ -34,7 +40,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import seeding, workers
-from .degradations import DatasetManifest, read_ppm
+from .degradations import DatasetManifest, ppm_dims, read_ppm
 from .errors import ConfigError, DataError
 from .metrics import MetricReport, psnr, ssim_chunk, ssim_reference
 from .numerics import DTYPE, Tensor
@@ -183,30 +189,30 @@ def strategy_weight_fn(strategy: str, model: RestorerModel,
 CHUNK_PIXELS = 4096
 
 
-def _read_in_chunks(task) -> Iterator[tuple[Chunk, np.ndarray]]:
-    # each pair read once; consecutive same-size pairs form a chunk of at
-    # most CHUNK_PIXELS pixels, so only one chunk is held in memory. Yields
-    # each chunk with its clean images.
+def _read_in_chunks(label: str, pairs, first: int) -> Iterator[tuple[Chunk, np.ndarray]]:
+    # each of ``pairs``, the pairs of task ``label`` from index ``first`` on,
+    # read once; consecutive same-size pairs form a chunk of at most
+    # CHUNK_PIXELS pixels, so only one chunk is held in memory. Yields each
+    # chunk with its clean images.
     def chunk(first, pairs):
-        return (Chunk(task.label, first, np.stack([d for _, d in pairs])),
+        return (Chunk(label, first, np.stack([d for _, d in pairs])),
                 np.stack([c for c, _ in pairs]))
 
-    pairs: list[tuple[np.ndarray, np.ndarray]] = []
-    first = 0
-    for clean_path, degraded_path in task.pairs:
+    group: list[tuple[np.ndarray, np.ndarray]] = []
+    for clean_path, degraded_path in pairs:
         clean, degraded = read_ppm(clean_path).data, read_ppm(degraded_path).data
         if clean.shape != degraded.shape:
             raise DataError(f"{degraded_path} is {degraded.shape[1]}x{degraded.shape[2]} "
                             f"but its clean image is {clean.shape[1]}x{clean.shape[2]}")
         _, h, w = degraded.shape
-        if pairs and (degraded.shape != pairs[0][1].shape
-                      or (len(pairs) + 1) * h * w > CHUNK_PIXELS):
-            yield chunk(first, pairs)
-            first += len(pairs)
-            pairs = []
-        pairs.append((clean, degraded))
-    if pairs:
-        yield chunk(first, pairs)
+        if group and (degraded.shape != group[0][1].shape
+                      or (len(group) + 1) * h * w > CHUNK_PIXELS):
+            yield chunk(first, group)
+            first += len(group)
+            group = []
+        group.append((clean, degraded))
+    if group:
+        yield chunk(first, group)
 
 
 def train_experts(model: RestorerModel, manifest: DatasetManifest, labels: Sequence[str],
@@ -251,46 +257,62 @@ def evaluate_restoration(model: RestorerModel, manifest: DatasetManifest,
     report, tasks in manifest order.
 
     Every strategy is checked against the manifest's labels before any
-    image is read or any worker starts. The tasks are scored one per item
-    in ``workers.in_workers``, at most one worker per usable core; the
-    reports are the same for any worker count. Metrics: restored psnr/ssim plus
-    (optionally) the degraded input's psnr_degraded baseline, computed once
-    per pair.
+    image is read or any worker starts. Each task's pairs are then cut into
+    runs of as many consecutive pairs as one chunk of its first image holds
+    (read from that image's header), and the runs are scored one per item
+    in ``workers.in_workers``, at most one worker per usable core. Each
+    task's values are joined in manifest order before its reports are
+    built, so the reports are the same for any worker count. Metrics:
+    restored psnr/ssim plus (optionally) the degraded input's psnr_degraded
+    baseline, computed once per pair.
     """
     for name, strategy in strategies.items():
         strategy.check(name, manifest.labels)
+    runs = []                   # (task index, first pair, end pair)
+    for t, task in enumerate(manifest.tasks):
+        if task.pairs:
+            h, w = ppm_dims(task.pairs[0][1])
+            size = max(1, CHUNK_PIXELS // (h * w))
+            runs += [(t, first, first + size) for first in range(0, len(task.pairs), size)]
 
-    def score(task):
-        return _score_task(model, task, strategies, with_baseline)
+    def score(run):
+        t, first, end = run
+        task = manifest.tasks[t]
+        return _score_pairs(model, task.label, task.pairs[first:end], first, strategies,
+                            with_baseline)
 
-    results: dict[str, dict[str, dict[str, MetricReport]]] = {name: {} for name in strategies}
-    for task, reports in zip(manifest.tasks, workers.in_workers(score, manifest.tasks)):
-        for name in strategies:
-            results[name][task.label] = reports[name]
-    return results
+    metrics = ("psnr", "ssim", "psnr_degraded") if with_baseline else ("psnr", "ssim")
+    values = [{name: {metric: [] for metric in metrics} for name in strategies}
+              for _ in manifest.tasks]
+    for (t, _, _), scored in zip(runs, workers.in_workers(score, runs)):
+        for name, per_metric in scored.items():
+            for metric, run_values in per_metric.items():
+                values[t][name][metric].extend(run_values)
+    return {name: {task.label: {metric: MetricReport(v) for metric, v in task_values[name].items()}
+                   for task, task_values in zip(manifest.tasks, values)}
+            for name in strategies}
 
 
-def _score_task(model: RestorerModel, task, strategies: Mapping[str, Strategy],
-                with_baseline: bool) -> dict[str, dict[str, MetricReport]]:
-    # strategy -> metric -> report for one task
-    values = {name: ([], []) for name in strategies}
+def _score_pairs(model: RestorerModel, label: str, pairs, first: int,
+                 strategies: Mapping[str, Strategy], with_baseline: bool
+                 ) -> dict[str, dict[str, list[float]]]:
+    # strategy -> metric -> per-pair values for ``pairs``, the pairs of task
+    # ``label`` from index ``first`` on
+    values = {name: {"psnr": [], "ssim": []} for name in strategies}
     base = []
-    for chunk, clean in _read_in_chunks(task):
+    for chunk, clean in _read_in_chunks(label, pairs, first):
         reference = ssim_reference(clean)
         for name, strategy in strategies.items():
             restored = restore(model, Tensor._wrap(chunk.images),
                                strategy.weights(chunk)).data
-            psnrs, ssims = values[name]
-            psnrs.extend(psnr(out, c) for out, c in zip(restored, clean))
-            ssims.extend(ssim_chunk(restored, reference))
+            values[name]["psnr"].extend(psnr(out, c) for out, c in zip(restored, clean))
+            values[name]["ssim"].extend(ssim_chunk(restored, reference))
         if with_baseline:
             base.extend(psnr(d, c) for d, c in zip(chunk.images, clean))
-    reports = {}
-    for name, (psnrs, ssims) in values.items():
-        reports[name] = {"psnr": MetricReport(psnrs), "ssim": MetricReport(ssims)}
-        if with_baseline:
-            reports[name]["psnr_degraded"] = MetricReport(base)
-    return reports
+    if with_baseline:
+        for per_metric in values.values():
+            per_metric["psnr_degraded"] = base
+    return values
 
 
 def routing_accuracy(router: RouterState, manifest: DatasetManifest,

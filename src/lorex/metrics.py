@@ -11,6 +11,7 @@ finite. Internals run in float64.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,15 +49,27 @@ def _gaussian_taps(size: int, sigma: float) -> np.ndarray:
 
 
 # the 2-D window is the outer product of these taps, so it is applied as
-# one pass along H and one along W
+# one pass along H and one along W, each a product with a banded matrix
 _TAPS = _gaussian_taps(SSIM_WINDOW, SSIM_SIGMA)
 
 
+@functools.lru_cache(maxsize=None)
+def _band(n: int) -> np.ndarray:
+    # (n - 10, n): row i holds the taps in columns i .. i + 10, so band @ x
+    # is the window along x's rows at every valid position
+    band = np.zeros((n - SSIM_WINDOW + 1, n))
+    for i, row in enumerate(band):
+        row[i:i + SSIM_WINDOW] = _TAPS
+    band.flags.writeable = False
+    return band
+
+
 def _filter(x: np.ndarray) -> np.ndarray:
-    # the Gaussian window over the last two axes, at valid positions only
-    window = np.lib.stride_tricks.sliding_window_view
-    x = window(x, SSIM_WINDOW, axis=-2) @ _TAPS
-    return window(x, SSIM_WINDOW, axis=-1) @ _TAPS
+    # the Gaussian window over the last two axes, at valid positions only:
+    # one small GEMM per (H, W) slice each way, so a slice's result does not
+    # depend on how many slices are filtered with it
+    h, w = x.shape[-2:]
+    return _band(h) @ x @ _band(w).T
 
 
 @dataclass(frozen=True)

@@ -115,13 +115,30 @@ class _Link:
         ``LorexError`` if it ends first."""
         message = _read(self.inbox)
         if message is None:
-            code = self.reap()
-            how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-            raise LorexError(f"worker process {self.pid} ended without a result ({how})")
+            self._ended()
         ok, value = message
         if not ok:
             raise value
         return value
+
+    def finish(self) -> None:
+        """Read the forked process's pipe to its end, so a process still
+        writing can finish, then reap it; raise the exception it sent, or
+        ``LorexError`` if it did not exit cleanly and sent none."""
+        failure = None
+        while (message := _read(self.inbox)) is not None:
+            if not message[0]:
+                failure = message[1]
+        code = self.reap()
+        if failure is not None:
+            raise failure
+        if code != 0:
+            self._ended()
+
+    def _ended(self):
+        code = self.reap()
+        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+        raise LorexError(f"worker process {self.pid} ended without a result ({how})")
 
     def reap(self) -> int:
         if self.code is None:
@@ -178,10 +195,10 @@ def _forked(count: int) -> Iterator[tuple[int, list[_Link]]]:
     forked by ``_fork``; yields ``(rank, links)``: 0 and the links to the
     children in the caller, r and the one link to the caller in child r.
     A child exits when its body ends, sending any exception it raised.
-    After its body the caller closes its pipes to the children, reaps them
-    and raises the exception of one that did not exit cleanly, or
-    ``LorexError`` if it sent none. Failures are handled as the module
-    docstring says.
+    After its body the caller closes its pipes to each child, reads what
+    the child still sends to its end, reaps it and raises its exception, or
+    ``LorexError`` if it did not exit cleanly and sent none. Failures are
+    handled as the module docstring says.
     """
     children: list[_Link] = []
     try:
@@ -193,9 +210,7 @@ def _forked(count: int) -> Iterator[tuple[int, list[_Link]]]:
         yield 0, children
         for child in children:
             child.outbox.close()
-            if child.reap() != 0:
-                while True:     # past any result the body left unread
-                    child.receive()
+            child.finish()
     except BaseException:
         for child in children:
             child.kill()

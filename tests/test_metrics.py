@@ -10,6 +10,8 @@ from lorex.errors import ShapeError
 from lorex.metrics import (
     MetricReport,
     PSNR_CAP,
+    _TAPS,
+    _filter,
     format_table,
     psnr,
     report_line,
@@ -146,6 +148,15 @@ class TestSsim:
         for bad in (np.zeros((3, 16, 16)), np.zeros((1, 3, 16, 8))):
             with pytest.raises(ShapeError):
                 ssim_reference(bad)
+
+    @pytest.mark.parametrize("h,w", [(11, 11), (16, 48), (32, 32), (40, 48)])
+    def test_banded_filter_equals_the_sliding_window(self, rng, h, w):
+        x = rng.random((2, 3, h, w))
+        window = np.lib.stride_tricks.sliding_window_view
+        want = window(window(x, 11, axis=-2) @ _TAPS, 11, axis=-1) @ _TAPS
+        got = _filter(x)
+        assert got.shape == want.shape == (2, 3, h - 10, w - 10)
+        assert np.abs(got - want).max() <= 1e-12
 
     def test_undersized_image_rejected(self):
         with pytest.raises(ShapeError):

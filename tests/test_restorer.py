@@ -336,7 +336,8 @@ class TestEvaluateRestoration:
             evaluate_restoration(model, manifest, {"average": build_strategy("average", model)})
 
     def test_reports_do_not_depend_on_the_usable_cpu_count(self, rng, tmp_path):
-        # three tasks: one worker scores all, or two split them 2 / 1
+        # three tasks of one run each: one worker scores all, or two split
+        # them 2 / 1
         model = build_model(LABELS, seed=3)
         randomize_adapters(model, rng, scale=0.05)
         manifest = write_manifest_pairs(tmp_path, rng, LABELS, [(32, 32)] * 3 + [(16, 48)])
@@ -352,6 +353,54 @@ class TestEvaluateRestoration:
             assert all(list(got[name]) == list(LABELS) for name in got)
             reports.append({name: report_values(got[name]) for name in got})
         assert reports[0] == reports[1]
+
+    def test_two_workers_restore_equal_shares_of_images(self, rng, tmp_path, monkeypatch):
+        # five tasks of eight 32x32 pairs are ten runs of four: two workers
+        # restore 20 images each, where a task per item would split 24 / 16
+        model = build_model(LABELS, seed=3)
+        manifest = write_manifest_pairs(tmp_path, rng, [f"t{i}" for i in range(5)],
+                                        [(32, 32)] * 8)
+        # one line per restore, appended to a file so that the restores of
+        # the forked worker are counted too
+        restores = tmp_path / "restores"
+        restore_chunk = harness.restore
+
+        def counting_restore(model, images, weights):
+            fd = os.open(restores, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+            try:
+                os.write(fd, f"{os.getpid()} {images.dims[0]}\n".encode())
+            finally:
+                os.close(fd)
+            return restore_chunk(model, images, weights)
+
+        monkeypatch.setattr(harness, "restore", counting_restore)
+        with usable_cpus(2):
+            evaluate_restoration(model, manifest, {"average": build_strategy("average", model)})
+        per_pid = {}
+        for line in restores.read_text().splitlines():
+            pid, images = line.split()
+            assert images == "4"
+            per_pid[pid] = per_pid.get(pid, 0) + int(images)
+        assert sorted(per_pid.values()) == [20, 20]
+        assert str(os.getpid()) in per_pid
+
+    def test_runs_that_change_image_size_equal_the_per_image_loop(self, rng, tmp_path):
+        # each task spans three runs of the first image's four 32x32 pairs,
+        # [0:4], [4:8] and [8:10], and changes size inside the second
+        model = build_model(LABELS, seed=3)
+        randomize_adapters(model, rng, scale=0.05)
+        sizes = [(32, 32)] * 5 + [(40, 48)] * 3 + [(16, 16)] * 2
+        manifest = write_manifest_pairs(tmp_path, rng, LABELS, sizes)
+        router = build_router(LABELS, seed=4)
+        for name in ("random", "top2", "all"):
+            strategy = {name: build_strategy(name, model, router, seed=5)}
+            reports = []
+            for cpus in (1, 2):
+                with usable_cpus(cpus):
+                    reports.append(report_values(
+                        evaluate_restoration(model, manifest, strategy)[name]))
+            fn = strategy_weight_fn(name, model, router, seed=5)
+            assert reports[0] == reports[1] == per_image_reference(model, manifest, fn)
 
     def test_corrupt_image_in_a_worker_raises_its_data_error(self, rng, tmp_path):
         model = build_model(LABELS, seed=3)

@@ -422,6 +422,28 @@ class TestReplicas:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_replica_still_writing_after_the_callers_last_gather_fails(self):
+        # the replica's extra result (4 MB) overflows the pipe buffer, so it
+        # can only finish writing while the caller reads
+        parent = os.getpid()
+
+        def timeout(*_):
+            raise AssertionError("the caller hung on a replica still writing")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(20)
+        try:
+            with usable_cpus(2), pytest.raises(LorexError, match="calling process ended"):
+                with workers.replicas(2) as gather:
+                    gather(lambda i: i)
+                    if os.getpid() != parent:
+                        gather(lambda i: np.zeros(1 << 19))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
 
 class TestRoutingAccuracy:
     SIZES = ((32, 32), (48, 40), (64, 64), (40, 56))
