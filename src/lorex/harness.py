@@ -26,7 +26,7 @@ with it, and each task's values are joined in manifest order before its
 reports are built, so the reports are the ones a single process computes,
 whatever the core count.
 
-``train_experts`` trains experts the same way, one task per item: an
+``train_experts`` trains experts in the same workers, one task per item: an
 expert depends only on the base, its own initial factors, its task's pairs
 and the schedule, so the trained model is bit-identical for any worker
 count.

@@ -12,7 +12,8 @@ step among them and swap the results in its ``gather``, so every process
 gets every shard's result: ``train_sharded``, the training step of router
 training and base pretraining, computes its two half-batch gradients with
 it. ``in_workers`` is one ``gather`` over independent items: evaluation
-scores tasks with it and ``train_experts`` trains experts with it.
+scores runs of a task's images with it and ``train_experts`` trains
+experts with it.
 
 Processes send their results through pipes, each message a pickled
 ``(ok, value)`` behind its length. An exception raised in a child is
@@ -33,7 +34,7 @@ import os
 import pickle
 import select
 import signal
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -135,7 +136,7 @@ class _Link:
         if code != 0:
             self._ended()
 
-    def _ended(self):
+    def _ended(self) -> NoReturn:
         code = self.reap()
         how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
         raise LorexError(f"worker process {self.pid} ended without a result ({how})")
