@@ -27,7 +27,7 @@ from .errors import (
     NumericError,
     ShapeError,
 )
-from .lora import AdaptedLayer, LoraAdapter, adapted_forward, lora_delta, merge_weights
+from .lora import AdaptedLayer, LoraAdapter, adapted_forward, merge_weights
 from .metrics import MetricReport, psnr, ssim
 from .numerics import GradTape, Tensor, conv2d, finite_difference_check, matmul
 from .restorer import (

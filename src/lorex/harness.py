@@ -12,19 +12,18 @@ image, and one batched SSIM. Every score equals that of restoring and
 scoring the image alone, bit for bit, so a report does not depend on which
 strategies share the pass.
 
-The items of ``workers.in_workers`` (one ``gather`` of
-``workers.replicas``) are runs, not tasks: each task's pairs are cut into
-runs of as many consecutive pairs as one chunk of the task's first image
-holds, so workers get equal shares of images when tasks are not a multiple
-of the worker count (two workers score 20 and 20 of five tasks of 8 pairs,
-not 24 and 16). A run is chunked as a whole task is, and each chunk keeps
-its images' indices within the task. W processes score the runs, W being
-the smaller of the run count and the usable cores that BLAS threads leave
-free (see ``workers``): the calling process takes runs 0, W, 2W, ..., and
-W - 1 forked children take the rest. No score depends on the images scored
-with it, and each task's values are joined in manifest order before its
-reports are built, so the reports are the ones a single process computes,
-whatever the core count.
+The chunks are planned once, by the caller, from the headers of the
+degraded images, and they are the items of ``workers.in_workers`` (one
+``gather`` of ``workers.replicas``), so workers get equal shares of images
+when tasks are not a multiple of the worker count (two workers score 20
+and 20 of five tasks of 8 pairs, not 24 and 16). Each chunk keeps its
+images' indices within the task. W processes score the chunks, W being
+the smaller of the chunk count and the usable cores that BLAS threads
+leave free (see ``workers``): the calling process takes chunks 0, W, 2W,
+..., and W - 1 forked children take the rest. No score depends on the
+images scored with it, and each task's values are joined in manifest
+order before its reports are built, so the reports are the ones a single
+process computes, whatever the core count.
 
 ``train_experts`` trains experts in the same workers, one task per item: an
 expert depends only on the base, its own initial factors, its task's pairs
@@ -35,7 +34,7 @@ count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -78,9 +77,6 @@ def clean_training_images(manifest: DatasetManifest) -> list[Tensor]:
 def router_training_set(manifest: DatasetManifest) -> list[tuple[str, list[Tensor]]]:
     """Per-label degraded images, the router's training input."""
     return [(task.label, [read_ppm(d) for _, d in task.pairs]) for task in manifest.tasks]
-
-
-WeightFn = Callable[[Tensor, str, int], np.ndarray]
 
 
 @dataclass
@@ -170,49 +166,12 @@ def build_strategy(name: str, model: RestorerModel, router: RouterState | None =
     raise ConfigError(f"unknown strategy {name!r}")
 
 
-def strategy_weight_fn(strategy: str, model: RestorerModel,
-                       router: RouterState | None = None, k: int | None = None,
-                       seed: int = 0, manual_s: Sequence[float] | None = None) -> WeightFn:
-    """Per-image composition weights, ``fn(image, label, index)`` -> (T,):
-    the one-image case of ``build_strategy``."""
-    built = build_strategy(strategy, model, router, k, seed, manual_s)
-
-    def fn(img, label, idx):
-        built.check(strategy, (label,))
-        return built.weights(Chunk(label, idx, img.data[None]))[0]
-    return fn
-
-
-# pixels restored per forward: four 32x32 images. Larger chunks add little
-# speed but grow the im2col columns (eight 32x32 images per chunk raise the
-# evaluate benchmark's peak RSS by about 5 MB)
+# pixels restored per forward: four 32x32 images. A chunk is the
+# consecutive same-size pairs of one task that fit in it, or one pair if a
+# single image is larger. Larger chunks add little speed but grow the im2col
+# columns (eight 32x32 images per chunk raise the evaluate benchmark's peak
+# RSS by about 5 MB)
 CHUNK_PIXELS = 4096
-
-
-def _read_in_chunks(label: str, pairs, first: int) -> Iterator[tuple[Chunk, np.ndarray]]:
-    # each of ``pairs``, the pairs of task ``label`` from index ``first`` on,
-    # read once; consecutive same-size pairs form a chunk of at most
-    # CHUNK_PIXELS pixels, so only one chunk is held in memory. Yields each
-    # chunk with its clean images.
-    def chunk(first, pairs):
-        return (Chunk(label, first, np.stack([d for _, d in pairs])),
-                np.stack([c for c, _ in pairs]))
-
-    group: list[tuple[np.ndarray, np.ndarray]] = []
-    for clean_path, degraded_path in pairs:
-        clean, degraded = read_ppm(clean_path).data, read_ppm(degraded_path).data
-        if clean.shape != degraded.shape:
-            raise DataError(f"{degraded_path} is {degraded.shape[1]}x{degraded.shape[2]} "
-                            f"but its clean image is {clean.shape[1]}x{clean.shape[2]}")
-        _, h, w = degraded.shape
-        if group and (degraded.shape != group[0][1].shape
-                      or (len(group) + 1) * h * w > CHUNK_PIXELS):
-            yield chunk(first, group)
-            first += len(group)
-            group = []
-        group.append((clean, degraded))
-    if group:
-        yield chunk(first, group)
 
 
 def train_experts(model: RestorerModel, manifest: DatasetManifest, labels: Sequence[str],
@@ -257,61 +216,68 @@ def evaluate_restoration(model: RestorerModel, manifest: DatasetManifest,
     report, tasks in manifest order.
 
     Every strategy is checked against the manifest's labels before any
-    image is read or any worker starts. Each task's pairs are then cut into
-    runs of as many consecutive pairs as one chunk of its first image holds
-    (read from that image's header), and the runs are scored one per item
-    in ``workers.in_workers``, at most one worker per usable core. Each
-    task's values are joined in manifest order before its reports are
-    built, so the reports are the same for any worker count. Metrics:
-    restored psnr/ssim plus (optionally) the degraded input's psnr_degraded
+    image is read or any worker starts. The caller then reads the header of
+    every degraded image and cuts each task's pairs into chunks (see
+    ``CHUNK_PIXELS``), and the chunks are scored one per item in
+    ``workers.in_workers``, at most one worker per usable core. Each task's
+    values are joined in manifest order before its reports are built, so
+    the reports are the same for any worker count. Metrics: restored
+    psnr/ssim plus (optionally) the degraded input's psnr_degraded
     baseline, computed once per pair.
     """
     for name, strategy in strategies.items():
         strategy.check(name, manifest.labels)
-    runs = []                   # (task index, first pair, end pair)
+    chunks = []                 # (task index, first pair, end pair)
     for t, task in enumerate(manifest.tasks):
+        first, size = 0, None
+        for i, (_, degraded_path) in enumerate(task.pairs):
+            h, w = ppm_dims(degraded_path)
+            if i > first and ((h, w) != size or (i + 1 - first) * h * w > CHUNK_PIXELS):
+                chunks.append((t, first, i))
+                first = i
+            size = (h, w)
         if task.pairs:
-            h, w = ppm_dims(task.pairs[0][1])
-            size = max(1, CHUNK_PIXELS // (h * w))
-            runs += [(t, first, first + size) for first in range(0, len(task.pairs), size)]
+            chunks.append((t, first, len(task.pairs)))
 
-    def score(run):
-        t, first, end = run
+    def score(item):
+        t, first, end = item
         task = manifest.tasks[t]
-        return _score_pairs(model, task.label, task.pairs[first:end], first, strategies,
+        return _score_chunk(model, task.label, task.pairs[first:end], first, strategies,
                             with_baseline)
 
     metrics = ("psnr", "ssim", "psnr_degraded") if with_baseline else ("psnr", "ssim")
     values = [{name: {metric: [] for metric in metrics} for name in strategies}
               for _ in manifest.tasks]
-    for (t, _, _), scored in zip(runs, workers.in_workers(score, runs)):
+    for (t, _, _), scored in zip(chunks, workers.in_workers(score, chunks)):
         for name, per_metric in scored.items():
-            for metric, run_values in per_metric.items():
-                values[t][name][metric].extend(run_values)
+            for metric, chunk_values in per_metric.items():
+                values[t][name][metric].extend(chunk_values)
     return {name: {task.label: {metric: MetricReport(v) for metric, v in task_values[name].items()}
                    for task, task_values in zip(manifest.tasks, values)}
             for name in strategies}
 
 
-def _score_pairs(model: RestorerModel, label: str, pairs, first: int,
+def _score_chunk(model: RestorerModel, label: str, pairs, first: int,
                  strategies: Mapping[str, Strategy], with_baseline: bool
                  ) -> dict[str, dict[str, list[float]]]:
-    # strategy -> metric -> per-pair values for ``pairs``, the pairs of task
-    # ``label`` from index ``first`` on
-    values = {name: {"psnr": [], "ssim": []} for name in strategies}
-    base = []
-    for chunk, clean in _read_in_chunks(label, pairs, first):
-        reference = ssim_reference(clean)
-        for name, strategy in strategies.items():
-            restored = restore(model, Tensor._wrap(chunk.images),
-                               strategy.weights(chunk)).data
-            values[name]["psnr"].extend(psnr(out, c) for out, c in zip(restored, clean))
-            values[name]["ssim"].extend(ssim_chunk(restored, reference))
-        if with_baseline:
-            base.extend(psnr(d, c) for d, c in zip(chunk.images, clean))
-    if with_baseline:
-        for per_metric in values.values():
-            per_metric["psnr_degraded"] = base
+    # strategy -> metric -> per-pair values for ``pairs``, the chunk of task
+    # ``label`` from index ``first`` on, each image read once
+    clean, degraded = [], []
+    for clean_path, degraded_path in pairs:
+        clean.append(read_ppm(clean_path).data)
+        degraded.append(read_ppm(degraded_path).data)
+        if clean[-1].shape != degraded[-1].shape:
+            (_, h, w), (_, ch, cw) = degraded[-1].shape, clean[-1].shape
+            raise DataError(f"{degraded_path} is {h}x{w} but its clean image is {ch}x{cw}")
+    chunk, clean = Chunk(label, first, np.stack(degraded)), np.stack(clean)
+    reference = ssim_reference(clean)
+    base = ({"psnr_degraded": [psnr(d, c) for d, c in zip(chunk.images, clean)]}
+            if with_baseline else {})
+    values = {}
+    for name, strategy in strategies.items():
+        restored = restore(model, Tensor._wrap(chunk.images), strategy.weights(chunk)).data
+        values[name] = {"psnr": [psnr(out, c) for out, c in zip(restored, clean)],
+                        "ssim": ssim_chunk(restored, reference), **base}
     return values
 
 

@@ -124,11 +124,6 @@ class AdaptedLayer:
         return co, ci * kh * kw
 
 
-def lora_delta(adapter: LoraAdapter) -> Tensor:
-    """The dense delta b @ a."""
-    return matmul(adapter.b, adapter.a)
-
-
 def _active(layer: AdaptedLayer, s, tape: GradTape | None) -> list[tuple[float, LoraAdapter]]:
     # Adapters with a nonzero weight. Outside of gradient recording, adapters
     # whose up-projection is still all-zero are dropped too: their delta is

@@ -124,35 +124,23 @@ def effective_rank(requested: int, n: int, m: int) -> int:
     return max(1, min(requested, min(n, m) - 1))
 
 
-def build_model(labels: Sequence[str], seed: int,
-                ranks: int | None = None,
-                adapted: Sequence[str] | None = None) -> RestorerModel:
-    """Fresh model: seeded base weights, zero-initialized adapters.
-
-    ``ranks`` is one rank for every layer (default ``DEFAULT_RANKS``: 4
-    outer / 8 bottleneck); ``adapted`` restricts which layers carry adapters
-    (default all of them).
+def build_model(labels: Sequence[str], seed: int, ranks: int | None = None) -> RestorerModel:
+    """Fresh model: seeded base weights and zero-initialized adapters on
+    every layer; ``ranks`` is one rank for every layer (default
+    ``DEFAULT_RANKS``: 4 outer / 8 bottleneck).
     """
     labels = tuple(labels)
     rank_map = DEFAULT_RANKS if ranks is None else dict.fromkeys(LAYER_NAMES, ranks)
-    adapted_set = set(LAYER_NAMES if adapted is None else adapted)
-    unknown = adapted_set - set(LAYER_NAMES)
-    if unknown:
-        raise ConfigError(f"unknown adapted layers: {sorted(unknown)}")
 
     layers: dict[str, AdaptedLayer] = {}
     for name, cin, cout, stride in ARCH:
         rng = seeding.stream(seed, "base-init", name)
         bound = np.sqrt(6.0 / (cin * KERNEL * KERNEL))
         weight = Tensor(rng.uniform(-bound, bound, (cout, cin, KERNEL, KERNEL)).astype(DTYPE))
-        adapters = []
-        if name in adapted_set:
-            n, m = cout, cin * KERNEL * KERNEL
-            r = effective_rank(rank_map[name], n, m)
-            adapters = [
-                LoraAdapter.create(n, m, r, seeding.stream(seed, "adapter-init", name, lb))
-                for lb in labels
-            ]
+        n, m = cout, cin * KERNEL * KERNEL
+        r = effective_rank(rank_map[name], n, m)
+        adapters = [LoraAdapter.create(n, m, r, seeding.stream(seed, "adapter-init", name, lb))
+                    for lb in labels]
         layers[name] = AdaptedLayer(kind="conv", base_weight=weight,
                                     base_bias=Tensor.zeros((cout,)),
                                     adapters=adapters, stride=stride, padding="same")

@@ -159,12 +159,6 @@ def topk_reallocate(s_o, k: int) -> RouterOutput:
     return RouterOutput(s_o=s_o.copy(), mask=mask, s=s.astype(DTYPE), k=int(k))
 
 
-def predict(state: RouterState, image: Tensor, k: int) -> RouterOutput:
-    """Encode a patch-sized image and reallocate over the Top-K experts."""
-    d = encode_degradation(state, image)
-    return topk_reallocate(similarity(d, state.bank), k)
-
-
 def resize_bilinear(image: Tensor, target: tuple[int, int]) -> Tensor:
     """Deterministic bilinear resize of a (3,H,W) image; identity if sizes match."""
     if image.data.ndim != 3:
@@ -250,7 +244,7 @@ def predict_with_crop_correction(state: RouterState, full_image: Tensor, k: int)
     blur); the crop sees it at native scale. For a patch-sized input both
     views are the same pixels, and an input smaller than the patch in
     either extent has no crop, so its crop view is the resized view. Then
-    this encodes once and returns plain ``predict`` of the resized view,
+    this encodes once and reallocates the resized view's own similarity,
     bit-identical since (s + s) * 0.5 == s in float32. A larger input
     encodes its two views as one batch.
     """

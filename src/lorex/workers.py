@@ -12,7 +12,7 @@ step among them and swap the results in its ``gather``, so every process
 gets every shard's result: ``train_sharded``, the training step of router
 training and base pretraining, computes its two half-batch gradients with
 it. ``in_workers`` is one ``gather`` over independent items: evaluation
-scores runs of a task's images with it and ``train_experts`` trains
+scores chunks of a task's images with it and ``train_experts`` trains
 experts with it.
 
 Processes send their results through pipes, each message a pickled

@@ -590,6 +590,36 @@ class TestEvalCommands:
             reports.append(report.read_bytes())
         assert reports[0] == reports[1]
 
+    def test_eval_of_mixed_image_sizes_does_not_depend_on_the_usable_cpu_count(self, mini,
+                                                                             tmp_path):
+        # tasks that mix 64x64 and 16x16 pairs: a 64x64 pair fills a chunk
+        # alone, up to sixteen 16x16 pairs fill one
+        rng = np.random.default_rng(5)
+        tasks = []
+        for label, sizes in (("gaussian_noise", [64] + [16] * 5 + [64] * 2),
+                             ("low_light", [16] * 3 + [64] + [16] * 17)):
+            pairs = []
+            for i, size in enumerate(sizes):
+                clean = gen_clean_image(len(tasks) * 100 + i, (size, size))
+                degraded = Tensor(np.clip(clean.data + rng.normal(0, 0.1, clean.dims), 0, 1))
+                paths = (tmp_path / f"{label}{i}c.ppm", tmp_path / f"{label}{i}d.ppm")
+                write_ppm(paths[0], clean)
+                write_ppm(paths[1], degraded)
+                pairs.append(paths)
+            tasks.append(degradations.TaskRecord(label, pairs))
+        degradations.write_manifest(tmp_path / "mixed.manifest",
+                                    degradations.DatasetManifest(tasks))
+        reports = []
+        for cpus in (1, 2):
+            report = tmp_path / f"eval_{cpus}.tsv"
+            with usable_cpus(cpus):
+                assert run("eval", "--data", tmp_path / "mixed.manifest",
+                           "--ckpt", mini["base"], "--router", mini["router"],
+                           "--strategy", "top2", "--out", report) == 0
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
+        assert len(reports[0].decode().splitlines()) == 6
+
     def test_sweep_rank_reports_params_and_loss(self, mini, tmp_path):
         report = tmp_path / "sweep.tsv"
         assert run("sweep-rank", "--data", mini["data"] / "train.manifest",

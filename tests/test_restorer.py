@@ -16,7 +16,7 @@ from lorex import harness, lora, numerics, persist, restorer, seeding, workers
 from lorex import router as router_module
 from lorex.degradations import DatasetManifest, TaskRecord, gen_clean_image, read_ppm, write_ppm
 from lorex.errors import ConfigError, DataError, LorexError, ShapeError
-from lorex.harness import build_strategy, evaluate_restoration, strategy_weight_fn
+from lorex.harness import Chunk, build_strategy, evaluate_restoration
 from lorex.lora import aggregated_forward, merge_weights
 from lorex.metrics import psnr, ssim
 from lorex.numerics import GradTape, Tensor
@@ -67,14 +67,17 @@ class TestBuildModel:
         assert model.layers["dec3"].adapters[0].rank == 4
         assert model.layers["head"].adapters[0].rank == 2
 
-    def test_adapted_subset(self):
-        model = build_model(LABELS, seed=1, adapted=("bot1", "bot2"))
+    def test_adapted_subset(self, tmp_path):
+        # a layer without adapters is left out of the checkpoint's layer list
+        model = build_model(LABELS, seed=1)
+        for name in restorer.LAYER_NAMES:
+            if name not in ("bot1", "bot2"):
+                model.layers[name].adapters = []
         assert model.adapted_layer_names() == ("bot1", "bot2")
-        assert model.layers["enc1"].adapters == []
-
-    def test_unknown_layer_rejected(self):
-        with pytest.raises(ConfigError):
-            build_model(LABELS, seed=1, adapted=("nope",))
+        persist.save_model(tmp_path / "m.uirl", model)
+        back = persist.load_model(tmp_path / "m.uirl")
+        assert back.adapted_layer_names() == ("bot1", "bot2")
+        assert back.layers["enc1"].adapters == []
 
     def test_seeded_build_deterministic(self):
         a = build_model(LABELS, seed=4)
@@ -246,14 +249,15 @@ def write_manifest_pairs(tmp_path, rng, labels, sizes):
     return DatasetManifest(tasks)
 
 
-def per_image_reference(model, manifest, fn):
+def per_image_reference(model, manifest, strategy):
     """task -> metric -> values, restoring and scoring one image at a time."""
     out = {}
     for task in manifest.tasks:
         want = {"psnr": [], "ssim": [], "psnr_degraded": []}
         for idx, (clean_path, degraded_path) in enumerate(task.pairs):
             clean, degraded = read_ppm(clean_path), read_ppm(degraded_path)
-            restored = restore(model, degraded, fn(degraded, task.label, idx))
+            s = strategy.weights(Chunk(task.label, idx, degraded.data[None]))[0]
+            restored = restore(model, degraded, s)
             want["psnr"].append(psnr(restored, clean))
             want["ssim"].append(ssim(restored, clean))
             want["psnr_degraded"].append(psnr(degraded, clean))
@@ -277,11 +281,10 @@ class TestEvaluateRestoration:
         sizes = [(32, 32)] * 5 + [(40, 48)] * 3 + [(32, 32)] * 2
         manifest = write_manifest_pairs(tmp_path, rng, ("t0", "t1"), sizes)
         router = build_router(LABELS, seed=4)
-        for strategy in ("random", "average", "top2"):
-            got = evaluate_restoration(
-                model, manifest, {strategy: build_strategy(strategy, model, router, seed=5)})
-            fn = strategy_weight_fn(strategy, model, router, seed=5)
-            assert report_values(got[strategy]) == per_image_reference(model, manifest, fn)
+        for name in ("random", "average", "top2"):
+            strategy = build_strategy(name, model, router, seed=5)
+            got = evaluate_restoration(model, manifest, {name: strategy})
+            assert report_values(got[name]) == per_image_reference(model, manifest, strategy)
 
     def test_one_pass_equals_a_pass_per_strategy(self, rng, tmp_path, monkeypatch):
         # patch-sized, larger (cropped by the router) and smaller images;
@@ -315,8 +318,8 @@ class TestEvaluateRestoration:
         for name in self.STRATEGIES:
             alone = evaluate_restoration(model, manifest, {name: strategies[name]})
             assert report_values(one_pass[name]) == report_values(alone[name])
-            fn = strategy_weight_fn(name, model, **args)
-            assert report_values(one_pass[name]) == per_image_reference(model, manifest, fn)
+            assert report_values(one_pass[name]) == per_image_reference(model, manifest,
+                                                                        strategies[name])
 
     def test_oracle_checks_the_manifest_before_reading(self, rng, tmp_path, monkeypatch):
         model = build_model(LABELS, seed=3)
@@ -336,8 +339,8 @@ class TestEvaluateRestoration:
             evaluate_restoration(model, manifest, {"average": build_strategy("average", model)})
 
     def test_reports_do_not_depend_on_the_usable_cpu_count(self, rng, tmp_path):
-        # three tasks of one run each: one worker scores all, or two split
-        # them 2 / 1
+        # three tasks of two chunks each (three 32x32 pairs, then one 16x48):
+        # one worker scores all six, or two split them 3 / 3
         model = build_model(LABELS, seed=3)
         randomize_adapters(model, rng, scale=0.05)
         manifest = write_manifest_pairs(tmp_path, rng, LABELS, [(32, 32)] * 3 + [(16, 48)])
@@ -354,19 +357,15 @@ class TestEvaluateRestoration:
             reports.append({name: report_values(got[name]) for name in got})
         assert reports[0] == reports[1]
 
-    def test_two_workers_restore_equal_shares_of_images(self, rng, tmp_path, monkeypatch):
-        # five tasks of eight 32x32 pairs are ten runs of four: two workers
-        # restore 20 images each, where a task per item would split 24 / 16
-        model = build_model(LABELS, seed=3)
-        manifest = write_manifest_pairs(tmp_path, rng, [f"t{i}" for i in range(5)],
-                                        [(32, 32)] * 8)
-        # one line per restore, appended to a file so that the restores of
-        # the forked worker are counted too
-        restores = tmp_path / "restores"
+    @staticmethod
+    def count_restores(monkeypatch, path):
+        """Record (process id, image count) of every restore in a file, so
+        that the restores of forked workers are counted too; returns a
+        function that reads the records."""
         restore_chunk = harness.restore
 
         def counting_restore(model, images, weights):
-            fd = os.open(restores, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
             try:
                 os.write(fd, f"{os.getpid()} {images.dims[0]}\n".encode())
             finally:
@@ -374,33 +373,51 @@ class TestEvaluateRestoration:
             return restore_chunk(model, images, weights)
 
         monkeypatch.setattr(harness, "restore", counting_restore)
+        return lambda: [tuple(map(int, line.split())) for line in path.read_text().splitlines()]
+
+    def test_two_workers_restore_equal_shares_of_images(self, rng, tmp_path, monkeypatch):
+        # five tasks of eight 32x32 pairs are ten chunks of four: two workers
+        # restore 20 images each, where a task per item would split 24 / 16
+        model = build_model(LABELS, seed=3)
+        manifest = write_manifest_pairs(tmp_path, rng, [f"t{i}" for i in range(5)],
+                                        [(32, 32)] * 8)
+        restores = self.count_restores(monkeypatch, tmp_path / "restores")
         with usable_cpus(2):
             evaluate_restoration(model, manifest, {"average": build_strategy("average", model)})
         per_pid = {}
-        for line in restores.read_text().splitlines():
-            pid, images = line.split()
-            assert images == "4"
-            per_pid[pid] = per_pid.get(pid, 0) + int(images)
+        for pid, images in restores():
+            assert images == 4
+            per_pid[pid] = per_pid.get(pid, 0) + images
         assert sorted(per_pid.values()) == [20, 20]
-        assert str(os.getpid()) in per_pid
+        assert os.getpid() in per_pid
+
+    def test_a_large_first_image_leaves_the_rest_in_one_chunk(self, rng, tmp_path, monkeypatch):
+        # a 64x64 pair fills a chunk alone; the sixteen 16x16 pairs after it
+        # fill the next one
+        model = build_model(LABELS, seed=3)
+        manifest = write_manifest_pairs(tmp_path, rng, ("t0",), [(64, 64)] + [(16, 16)] * 16)
+        restores = self.count_restores(monkeypatch, tmp_path / "restores")
+        strategies = {name: build_strategy(name, model) for name in ("average", "oracle")}
+        evaluate_restoration(model, manifest, strategies)
+        assert sorted(images for _, images in restores()) == [1, 1, 16, 16]
 
     def test_runs_that_change_image_size_equal_the_per_image_loop(self, rng, tmp_path):
-        # each task spans three runs of the first image's four 32x32 pairs,
-        # [0:4], [4:8] and [8:10], and changes size inside the second
+        # each task's chunks are [0:4] and [4:5] of 32x32, [5:7] and [7:8] of
+        # 40x48 and [8:10] of 16x16: cut at the pixel budget and wherever
+        # the size changes
         model = build_model(LABELS, seed=3)
         randomize_adapters(model, rng, scale=0.05)
         sizes = [(32, 32)] * 5 + [(40, 48)] * 3 + [(16, 16)] * 2
         manifest = write_manifest_pairs(tmp_path, rng, LABELS, sizes)
         router = build_router(LABELS, seed=4)
         for name in ("random", "top2", "all"):
-            strategy = {name: build_strategy(name, model, router, seed=5)}
+            strategy = build_strategy(name, model, router, seed=5)
             reports = []
             for cpus in (1, 2):
                 with usable_cpus(cpus):
                     reports.append(report_values(
-                        evaluate_restoration(model, manifest, strategy)[name]))
-            fn = strategy_weight_fn(name, model, router, seed=5)
-            assert reports[0] == reports[1] == per_image_reference(model, manifest, fn)
+                        evaluate_restoration(model, manifest, {name: strategy})[name]))
+            assert reports[0] == reports[1] == per_image_reference(model, manifest, strategy)
 
     def test_corrupt_image_in_a_worker_raises_its_data_error(self, rng, tmp_path):
         model = build_model(LABELS, seed=3)
@@ -412,6 +429,19 @@ class TestEvaluateRestoration:
             evaluate_restoration(model, manifest, {"average": build_strategy("average", model)})
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_malformed_header_is_raised_before_any_image_is_read(self, rng, tmp_path,
+                                                                monkeypatch):
+        # the caller reads every degraded image's header to cut the chunks,
+        # so the error comes from it, before any worker starts
+        model = build_model(LABELS, seed=3)
+        manifest = write_manifest_pairs(tmp_path, rng, LABELS, [(32, 32)] * 3)
+        degraded_path = manifest.tasks[1].pairs[-1][1]
+        degraded_path.write_bytes(b"P6\nthirty-two 32\n255\n" + bytes(3 * 32 * 32))
+        monkeypatch.setattr(harness, "read_ppm", lambda path: pytest.fail(f"read {path}"))
+        monkeypatch.setattr(workers, "in_workers", lambda *args: pytest.fail("worker started"))
+        with usable_cpus(2), pytest.raises(DataError, match=f"{degraded_path}: malformed"):
+            evaluate_restoration(model, manifest, {"average": build_strategy("average", model)})
 
     @pytest.mark.parametrize("name,kwargs", [
         ("bogus", {}), ("manual", {}), ("manual", {"manual_s": [0.5, 0.5]}),

@@ -23,13 +23,17 @@ from lorex.router import (
     build_router,
     center_crop,
     encode_degradation,
-    predict,
     predict_with_crop_correction,
     resize_bilinear,
     similarity,
     topk_reallocate,
     train_router,
 )
+
+
+def plain_predict(state, image, k):
+    """Top-K reallocation of a patch-sized image's similarity, no crop view."""
+    return topk_reallocate(similarity(encode_degradation(state, image), state.bank), k)
 
 
 def topk_mask_oracle(s_o, k):
@@ -170,7 +174,7 @@ class TestCropCorrection:
         # both views are the image itself, so it is encoded once
         state = build_router(["a", "b", "c"], seed=5)
         img = gen_clean_image(7, (32, 32))
-        plain = predict(state, img, 2)
+        plain = plain_predict(state, img, 2)
         calls = []
         encode = router._encode_batch
         monkeypatch.setattr(router, "_encode_batch",
@@ -198,7 +202,7 @@ class TestCropCorrection:
                             lambda *args: calls.append(1) or encode(*args))
         for size in ((16, 16), (16, 48), (48, 16)):
             img = gen_clean_image(1, size)
-            plain = predict(state, resize_bilinear(img, state.patch), 2)
+            plain = plain_predict(state, resize_bilinear(img, state.patch), 2)
             calls.clear()
             corrected = predict_with_crop_correction(state, img, 2)
             assert len(calls) == 1
