@@ -172,9 +172,7 @@ def cmd_train_router(args) -> int:
     _keep_heap_resident()
     opt = _Options(args)
     manifest = load_manifest(args.data)
-    first_image = read_ppm(manifest.tasks[0].pairs[0][1])
-    patch = (first_image.dims[1], first_image.dims[2])
-    state = build_router(manifest.labels, seed=opt.seed, patch=patch)
+    state = build_router(manifest.labels, opt.seed, manifest.shared_size(manifest.labels))
     train_router(state, harness.router_training_set(manifest),
                  opt.train_config("router", harness.ROUTER))
     persist.save_router(args.out, state)

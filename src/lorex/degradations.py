@@ -27,6 +27,7 @@ from . import seeding
 from .errors import ConfigError, DataError, ShapeError
 from .fileio import _write_atomic
 from .numerics import DTYPE, Tensor
+from .restorer import fits_input
 
 KINDS = ("gaussian_noise", "gaussian_blur", "low_light", "block_quantize", "masking")
 
@@ -272,21 +273,14 @@ def read_ppm(path) -> Tensor:
     return Tensor._wrap((q.transpose(2, 0, 1).astype(DTYPE)) / DTYPE(255))
 
 
-def ppm_dims(path) -> tuple[int, int]:
-    """(h, w) of the PPM at ``path``, from its header alone; ``DataError``
-    for any header ``read_ppm`` rejects."""
-    with open(path, "rb") as f:
-        w, h = _ppm_header(f, path)
-    return h, w
-
-
-def _check_ppm(path) -> None:
-    """Raise the ``DataError`` that ``read_ppm`` would raise for ``path``,
-    from the header and the file size alone, without reading the pixels."""
+def _check_ppm(path) -> tuple[int, int]:
+    """(h, w) of the PPM at ``path``, or the ``DataError`` that ``read_ppm``
+    would raise for it, from the header and the file size alone."""
     with open(path, "rb") as f:
         w, h = _ppm_header(f, path)
         if os.fstat(f.fileno()).st_size < f.tell() + 3 * h * w:
             raise DataError(f"{path}: PPM payload truncated")
+    return h, w
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +295,12 @@ class TaskRecord:
     label: str
     pairs: list[tuple[Path, Path]]          # (clean, degraded)
     specs: tuple[DegradationSpec, ...] | None = None
+    sizes: list[tuple[int, int]] | None = None  # (h, w) per pair; None if unverified
+
+    def known_sizes(self) -> list[tuple[int, int]]:
+        if self.sizes is None:
+            raise ConfigError(f"task {self.label!r}: image sizes unknown (manifest not verified)")
+        return self.sizes
 
 
 @dataclass
@@ -317,10 +317,22 @@ class DatasetManifest:
                 return t
         raise DataError(f"manifest has no task {label!r}")
 
+    def shared_size(self, labels) -> tuple[int, int]:
+        """The one (h, w) of every pair of the tasks ``labels``, as training
+        requires; else ``DataError`` names the first image of another size."""
+        sized = [(path, size) for task in map(self.task, labels)
+                 for (_, path), size in zip(task.pairs, task.known_sizes())]
+        for path, (h, w) in sized:
+            if (h, w) != sized[0][1]:
+                raise DataError(f"training images must share one size, but {path} is {h}x{w} "
+                                f"and {sized[0][0]} is {sized[0][1][0]}x{sized[0][1][1]}")
+        if not sized:
+            raise DataError(f"tasks {list(labels)} have no pairs")
+        return sized[0][1]
+
 
 def write_manifest(path, manifest: DatasetManifest) -> None:
-    path = Path(path)
-    base = path.parent
+    base = Path(path).parent
     lines = [f"{MANIFEST_MAGIC} T={len(manifest.tasks)}"]
     for task in manifest.tasks:
         for clean, degraded in task.pairs:
@@ -331,9 +343,12 @@ def write_manifest(path, manifest: DatasetManifest) -> None:
 
 
 def load_manifest(path, verify: bool = True) -> DatasetManifest:
-    """The manifest at ``path``; with ``verify``, every listed image must
-    exist and be a PPM that ``read_ppm`` accepts, which is checked from its
-    header and size without decoding it."""
+    """The manifest at ``path``. With ``verify``, every listed image must be
+    a PPM that ``read_ppm`` accepts and a pair's two images one size, which
+    is checked from headers and file sizes alone, and each task's ``sizes``
+    records them. Without it no image is opened and ``sizes`` stays None,
+    so evaluation and training, which need them, raise ``ConfigError``
+    naming the task (``TaskRecord.known_sizes``)."""
     path = Path(path)
     base = path.parent
     try:
@@ -347,8 +362,7 @@ def load_manifest(path, verify: bool = True) -> DatasetManifest:
     except (IndexError, ValueError) as exc:
         raise DataError(f"{path}: malformed manifest header") from exc
 
-    order: list[str] = []
-    pairs: dict[str, list[tuple[Path, Path]]] = {}
+    pairs: dict[str, list[tuple[Path, Path]]] = {}     # label -> pairs, first label first
     for ln, line in enumerate(text[1:], start=2):
         if not line.strip():
             continue
@@ -356,26 +370,29 @@ def load_manifest(path, verify: bool = True) -> DatasetManifest:
         if len(parts) != 3:
             raise DataError(f"{path}:{ln}: expected 3 tab-separated fields")
         label, rel_c, rel_d = parts
-        if label not in pairs:
-            order.append(label)
-            pairs[label] = []
-        pairs[label].append((base / rel_c, base / rel_d))
-    if len(order) != declared:
-        raise DataError(f"{path}: header declares T={declared} but found {len(order)} tasks")
-    if not order:
+        pairs.setdefault(label, []).append((base / rel_c, base / rel_d))
+    if len(pairs) != declared:
+        raise DataError(f"{path}: header declares T={declared} but found {len(pairs)} tasks")
+    if not pairs:
         raise DataError(f"{path}: manifest lists no tasks")
 
-    manifest = DatasetManifest(tasks=[TaskRecord(lb, pairs[lb]) for lb in order])
+    manifest = DatasetManifest(tasks=[TaskRecord(lb, p) for lb, p in pairs.items()])
     if verify:
         for task in manifest.tasks:
+            task.sizes = []
             for clean, degraded in task.pairs:
+                pair = []
                 for fp in (clean, degraded):
                     if not fp.exists():
                         raise DataError(f"{path}: missing file {fp}")
                     try:
-                        _check_ppm(fp)
+                        pair.append(_check_ppm(fp))
                     except OSError as exc:
                         raise DataError(f"{path}: cannot read {fp} ({exc.strerror})") from None
+                if pair[0] != pair[1]:
+                    (ch, cw), (h, w) = pair
+                    raise DataError(f"{path}: {clean} is {ch}x{cw} but {degraded} is {h}x{w}")
+                task.sizes.append(pair[1])
     return manifest
 
 
@@ -416,6 +433,9 @@ DEFAULT_MIXED: tuple[MixedDef, ...] = (
 )
 
 
+MAX_PATCH = 1024    # the largest patch gen-data writes: tens of MB of float64 per image
+
+
 @dataclass(frozen=True)
 class DatasetConfig:
     seed: int = 7
@@ -430,8 +450,10 @@ class DatasetConfig:
         labels = [t.label for t in self.tasks] + [m.label for m in self.mixed]
         if len(set(labels)) != len(labels):
             raise ConfigError("task labels must be unique")
-        if self.train_per_task < 1 or self.test_per_task < 1:
+        if self.train_per_task < 1 or self.test_per_task < 1 or self.mixed_pairs < 1:
             raise ConfigError("pair counts must be positive")
+        if not fits_input(self.patch, self.patch) or self.patch > MAX_PATCH:
+            raise ConfigError(f"patch {self.patch} is not a multiple of 8 in [16, {MAX_PATCH}]")
 
 
 def _write_pair(out_dir: Path, label: str, index: int, clean: Tensor,
@@ -472,7 +494,7 @@ def make_dataset(config: DatasetConfig, out_dir) -> dict[str, DatasetManifest]:
                 paths = _write_pair(out_dir / split, task.label, i, clean,
                                     apply_degradation(_quantized(clean), spec))
                 task_pairs.append(paths)
-            records.append(TaskRecord(task.label, task_pairs, (spec_template,)))
+            records.append(TaskRecord(task.label, task_pairs, (spec_template,), [size] * count))
         manifests[split] = DatasetManifest(records)
         write_manifest(out_dir / f"{split}.manifest", manifests[split])
 
@@ -488,7 +510,7 @@ def make_dataset(config: DatasetConfig, out_dir) -> dict[str, DatasetManifest]:
                 img = apply_degradation(img, template.with_seed(
                     seeding.derive_seed(config.seed, "degrade", "mixed", mix.label, i, ci)))
             task_pairs.append(_write_pair(out_dir / "mixed", mix.label, i, clean, img))
-        mixed_records.append(TaskRecord(mix.label, task_pairs, templates))
+        mixed_records.append(TaskRecord(mix.label, task_pairs, templates, [size] * len(task_pairs)))
     manifests["mixed"] = DatasetManifest(mixed_records)
     write_manifest(out_dir / "mixed.manifest", manifests["mixed"])
     return manifests

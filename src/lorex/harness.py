@@ -12,18 +12,18 @@ image, and one batched SSIM. Every score equals that of restoring and
 scoring the image alone, bit for bit, so a report does not depend on which
 strategies share the pass.
 
-The chunks are planned once, by the caller, from the headers of the
-degraded images, and they are the items of ``workers.in_workers`` (one
-``gather`` of ``workers.replicas``), so workers get equal shares of images
-when tasks are not a multiple of the worker count (two workers score 20
-and 20 of five tasks of 8 pairs, not 24 and 16). Each chunk keeps its
-images' indices within the task. W processes score the chunks, W being
-the smaller of the chunk count and the usable cores that BLAS threads
-leave free (see ``workers``): the calling process takes chunks 0, W, 2W,
-..., and W - 1 forked children take the rest. No score depends on the
-images scored with it, and each task's values are joined in manifest
-order before its reports are built, so the reports are the ones a single
-process computes, whatever the core count.
+The chunks are planned once, by the caller, from the image sizes that
+verifying the manifest recorded (no header is parsed again). They are the
+items of ``workers.in_workers`` (one ``gather`` of ``workers.replicas``),
+so workers get equal shares of images when tasks are not a multiple of the
+worker count (two workers score 20 and 20 of five tasks of 8 pairs, not 24
+and 16). Each chunk keeps its images' indices within the task. W processes
+score the chunks, W being the smaller of the chunk count and the usable
+cores that BLAS threads leave free (see ``workers``): the calling process
+takes chunks 0, W, 2W, ..., and W - 1 forked children take the rest. No
+score depends on the images scored with it, and each task's values are
+joined in manifest order before its reports are built, so the reports are
+the ones a single process computes, whatever the core count.
 
 ``train_experts`` trains experts in the same workers, one task per item: an
 expert depends only on the base, its own initial factors, its task's pairs
@@ -39,8 +39,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import seeding, workers
-from .degradations import DatasetManifest, ppm_dims, read_ppm
-from .errors import ConfigError, DataError
+from .degradations import DatasetManifest, read_ppm
+from .errors import ConfigError
 from .metrics import MetricReport, psnr, ssim_chunk, ssim_reference
 from .numerics import DTYPE, Tensor
 from .restorer import AdapterTrainer, RestorerModel, TaskData, TrainConfig, restore
@@ -54,23 +54,18 @@ ROUTER = TrainConfig(iterations=6000, batch_size=16)
 
 
 def load_task_data(manifest: DatasetManifest, label: str) -> TaskData:
-    """One task's pairs, stacked; every image must have the size of the
-    task's first degraded image, else ``DataError`` names the first that
-    does not."""
-    pairs = []
-    for clean_path, degraded_path in manifest.task(label).pairs:
-        degraded, clean = read_ppm(degraded_path), read_ppm(clean_path)
-        size = (pairs[0][0] if pairs else degraded).dims
-        for path, image in ((degraded_path, degraded), (clean_path, clean)):
-            if image.dims != size:
-                raise DataError(f"{path} is {image.dims[1]}x{image.dims[2]} but the first "
-                                f"image of task {label!r} is {size[1]}x{size[2]}")
-        pairs.append((degraded, clean))
-    return TaskData.from_pairs(label, pairs)
+    """One task's pairs, stacked; they must share one size
+    (``DatasetManifest.shared_size``), which is checked before any is read."""
+    manifest.shared_size([label])
+    pairs = manifest.task(label).pairs
+    return TaskData(label, np.stack([read_ppm(d).data for _, d in pairs]),
+                    np.stack([read_ppm(c).data for c, _ in pairs]))
 
 
 def clean_training_images(manifest: DatasetManifest) -> list[Tensor]:
-    """All clean images in manifest order (task order, then index order)."""
+    """All clean images in manifest order (task order, then index order);
+    they must share one size, which is checked before any is read."""
+    manifest.shared_size(manifest.labels)
     return [read_ppm(c) for task in manifest.tasks for c, _ in task.pairs]
 
 
@@ -193,7 +188,7 @@ def train_experts(model: RestorerModel, manifest: DatasetManifest, labels: Seque
             raise ConfigError(f"task {label!r} is not in the model labels")
         if label in labels[:i]:
             raise ConfigError(f"task {label!r} is listed more than once")
-        manifest.task(label)            # DataError if the manifest lacks it
+        manifest.shared_size([label])   # DataError: no such task, or sizes differ
 
     def train(label):
         trainer = AdapterTrainer(model, model.labels.index(label),
@@ -212,32 +207,24 @@ def evaluate_restoration(model: RestorerModel, manifest: DatasetManifest,
                          strategies: Mapping[str, Strategy], with_baseline: bool = True
                          ) -> dict[str, dict[str, dict[str, MetricReport]]]:
     """Restore every test pair under every strategy and score it, in one
-    pass (see the module docstring); returns strategy -> task -> metric ->
-    report, tasks in manifest order.
-
-    Every strategy is checked against the manifest's labels before any
-    image is read or any worker starts. The caller then reads the header of
-    every degraded image and cuts each task's pairs into chunks (see
-    ``CHUNK_PIXELS``), and the chunks are scored one per item in
-    ``workers.in_workers``, at most one worker per usable core. Each task's
-    values are joined in manifest order before its reports are built, so
-    the reports are the same for any worker count. Metrics: restored
-    psnr/ssim plus (optionally) the degraded input's psnr_degraded
-    baseline, computed once per pair.
+    pass cut into chunks (see the module docstring and ``CHUNK_PIXELS``);
+    returns strategy -> task -> metric -> report, tasks in manifest order.
+    Metrics: restored psnr/ssim plus (optionally) the degraded input's
+    psnr_degraded baseline, computed once per pair. The strategies and the
+    sizes that verification recorded (``TaskRecord.known_sizes``) are
+    checked before any image is read or any worker starts.
     """
     for name, strategy in strategies.items():
         strategy.check(name, manifest.labels)
     chunks = []                 # (task index, first pair, end pair)
     for t, task in enumerate(manifest.tasks):
-        first, size = 0, None
-        for i, (_, degraded_path) in enumerate(task.pairs):
-            h, w = ppm_dims(degraded_path)
-            if i > first and ((h, w) != size or (i + 1 - first) * h * w > CHUNK_PIXELS):
+        first, sizes = 0, task.known_sizes()
+        for i, (h, w) in enumerate(sizes):
+            if i > first and ((h, w) != sizes[i - 1] or (i + 1 - first) * h * w > CHUNK_PIXELS):
                 chunks.append((t, first, i))
                 first = i
-            size = (h, w)
-        if task.pairs:
-            chunks.append((t, first, len(task.pairs)))
+        if sizes:
+            chunks.append((t, first, len(sizes)))
 
     def score(item):
         t, first, end = item
@@ -262,14 +249,8 @@ def _score_chunk(model: RestorerModel, label: str, pairs, first: int,
                  ) -> dict[str, dict[str, list[float]]]:
     # strategy -> metric -> per-pair values for ``pairs``, the chunk of task
     # ``label`` from index ``first`` on, each image read once
-    clean, degraded = [], []
-    for clean_path, degraded_path in pairs:
-        clean.append(read_ppm(clean_path).data)
-        degraded.append(read_ppm(degraded_path).data)
-        if clean[-1].shape != degraded[-1].shape:
-            (_, h, w), (_, ch, cw) = degraded[-1].shape, clean[-1].shape
-            raise DataError(f"{degraded_path} is {h}x{w} but its clean image is {ch}x{cw}")
-    chunk, clean = Chunk(label, first, np.stack(degraded)), np.stack(clean)
+    chunk = Chunk(label, first, np.stack([read_ppm(d).data for _, d in pairs]))
+    clean = np.stack([read_ppm(c).data for c, _ in pairs])
     reference = ssim_reference(clean)
     base = ({"psnr_degraded": [psnr(d, c) for d, c in zip(chunk.images, clean)]}
             if with_baseline else {})

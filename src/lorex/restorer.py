@@ -147,13 +147,18 @@ def build_model(labels: Sequence[str], seed: int, ranks: int | None = None) -> R
     return RestorerModel(layers=layers, labels=labels)
 
 
+def fits_input(h: int, w: int) -> bool:
+    """The restorer's input rule: extents that are multiples of 8, at least 16."""
+    return h % 8 == 0 and w % 8 == 0 and min(h, w) >= 16
+
+
 def _check_input(x: Tensor) -> tuple[np.ndarray, bool]:
     squeeze = x.data.ndim == 3
     x4 = x.data[None] if squeeze else x.data
     if x4.ndim != 4 or x4.shape[1] != 3:
         raise ShapeError(f"expected (3,H,W) or (N,3,H,W), got {x.dims}")
     h, w = x4.shape[2], x4.shape[3]
-    if h % 8 or w % 8 or h < 16 or w < 16:
+    if not fits_input(h, w):
         raise ShapeError(f"spatial extents must be multiples of 8 and >= 16, got {h}x{w}")
     return x4, squeeze
 
@@ -242,14 +247,6 @@ class TaskData:
     label: str
     degraded: np.ndarray    # (n, 3, h, w) float32
     clean: np.ndarray       # (n, 3, h, w) float32
-
-    @classmethod
-    def from_pairs(cls, label: str, pairs: Sequence[tuple[Tensor, Tensor]]) -> "TaskData":
-        if not pairs:
-            raise DataError(f"task {label!r} has no pairs")
-        deg = np.stack([d.data for d, _ in pairs])
-        cln = np.stack([c.data for _, c in pairs])
-        return cls(label, deg, cln)
 
     @property
     def n(self) -> int:

@@ -16,12 +16,12 @@ import pytest
 from conftest import usable_cpus
 
 import lorex
-from lorex import cli, degradations, harness, persist
+from lorex import cli, degradations, harness, persist, workers
 from lorex import router as router_module
 from lorex.checkpoint import load_checkpoint, save_checkpoint
 from lorex.cli import main
 from lorex.degradations import gen_clean_image, load_manifest, read_ppm, write_ppm
-from lorex.errors import NumericError
+from lorex.errors import DataError, NumericError
 from lorex.harness import PRETRAIN, ROUTER, clean_training_images, load_task_data, \
     router_training_set
 from lorex.numerics import Tensor
@@ -226,14 +226,24 @@ class TestExitCodes:
         assert "lists no tasks" in proc.stderr
         assert not (tmp_path / "r.uirl").exists()
 
-    def test_failure_in_an_evaluation_worker_is_1(self, mini, tmp_path, capsys):
-        # a pair of two sizes passes the manifest check and fails only when
-        # evaluated; with two workers, the second task is the forked worker's
-        shutil.copytree(mini["data"] / "test", tmp_path / "test")
-        manifest = tmp_path / "test.manifest"
-        shutil.copy(mini["data"] / "test.manifest", manifest)
-        clean_path, degraded_path = load_manifest(manifest).tasks[1].pairs[0]
-        write_ppm(clean_path, gen_clean_image(0, (32, 40)))
+    @staticmethod
+    def fail_reads_in_children(monkeypatch):
+        """Make every image the harness reads in a forked process fail."""
+        parent, read = os.getpid(), harness.read_ppm
+
+        def read_or_fail(path):
+            if os.getpid() != parent:
+                raise DataError(f"{path}: unreadable in the worker")
+            return read(path)
+
+        monkeypatch.setattr(harness, "read_ppm", read_or_fail)
+
+    def test_failure_in_an_evaluation_worker_is_1(self, mini, tmp_path, capsys, monkeypatch):
+        # with two workers, the second task is the forked worker's, and its
+        # first read is the task's first degraded image
+        manifest = mini["data"] / "test.manifest"
+        degraded_path = load_manifest(manifest).tasks[1].pairs[0][1]
+        self.fail_reads_in_children(monkeypatch)
         out = tmp_path / "ablate.tsv"
         with usable_cpus(2):
             assert run("ablate-routing", "--data", manifest, "--ckpt", mini["base"],
@@ -241,30 +251,71 @@ class TestExitCodes:
                        "--out", out) == 1
         err = capsys.readouterr().err
         assert_one_error_line(err)
-        assert str(degraded_path) in err
+        assert f"{degraded_path}: unreadable in the worker" in err
         assert not out.exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_failure_in_a_training_worker_is_1(self, mini, tmp_path, capsys):
-        # a clean image of another size passes the manifest check and fails
-        # only when its task is loaded; with two workers, task 1 is the
-        # forked worker's
-        shutil.copytree(mini["data"] / "train", tmp_path / "train")
-        manifest = tmp_path / "train.manifest"
-        shutil.copy(mini["data"] / "train.manifest", manifest)
-        clean_path = load_manifest(manifest).tasks[1].pairs[0][0]
-        write_ppm(clean_path, gen_clean_image(0, (32, 40)))
+    def test_failure_in_a_training_worker_is_1(self, mini, tmp_path, capsys, monkeypatch):
+        # with two workers, task 1 is the forked worker's, and its first
+        # read is the task's first degraded image
+        manifest = mini["data"] / "train.manifest"
+        degraded_path = load_manifest(manifest).tasks[1].pairs[0][1]
+        self.fail_reads_in_children(monkeypatch)
         out = tmp_path / "experts.uirl"
         with usable_cpus(2):
             assert run("train-lora", "--task", "all", "--data", manifest,
                        "--ckpt", mini["base"], "--out", out, "--iterations", "1") == 1
         err = capsys.readouterr().err
         assert_one_error_line(err)
-        assert str(clean_path) in err
+        assert f"{degraded_path}: unreadable in the worker" in err
         assert not out.exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_pair_of_two_sizes_is_1_before_any_worker_starts(self, mini, tmp_path, capsys,
+                                                              monkeypatch):
+        # verifying the manifest compares the headers of each pair
+        shutil.copytree(mini["data"] / "test", tmp_path / "test")
+        manifest = tmp_path / "test.manifest"
+        shutil.copy(mini["data"] / "test.manifest", manifest)
+        clean_path, degraded_path = load_manifest(manifest).tasks[1].pairs[0]
+        write_ppm(clean_path, gen_clean_image(0, (32, 40)))
+        monkeypatch.setattr(harness, "read_ppm", lambda path: pytest.fail(f"read {path}"))
+        monkeypatch.setattr(workers, "in_workers", lambda *args: pytest.fail("worker started"))
+        assert run("ablate-routing", "--data", manifest, "--ckpt", mini["base"],
+                   "--router", mini["router"], "--strategies", "average,top1") == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert f"{clean_path} is 32x40 but {degraded_path} is 32x32" in err
+
+    @pytest.mark.parametrize("command", ["pretrain-base", "train-router"])
+    def test_training_on_mixed_image_sizes_is_1_without_traceback(self, tmp_path, command):
+        # the first task's pair is 48x48, the second task's 32x32
+        tasks = []
+        for label, size in (("gaussian_noise", 48), ("low_light", 32)):
+            paths = (tmp_path / f"{label}c.ppm", tmp_path / f"{label}d.ppm")
+            for path in paths:
+                write_ppm(path, gen_clean_image(size, (size, size)))
+            tasks.append(degradations.TaskRecord(label, [paths]))
+        degradations.write_manifest(tmp_path / "mixed.manifest",
+                                    degradations.DatasetManifest(tasks))
+        out = tmp_path / "out.uirl"
+        proc = run_in_subprocess(command, "--data", tmp_path / "mixed.manifest", "--out", out,
+                                 "--iterations", "1")
+        assert proc.returncode == 1
+        assert_one_error_line(proc.stderr)
+        assert f"{tmp_path / 'low_lightd.ppm'} is 32x32" in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [("--patch", "30"), ("--patch", "100000"),
+                                            ("--mixed-pairs", "0"), ("--mixed-pairs", "-1")])
+    def test_gen_data_rejects_what_later_stages_reject(self, tmp_path, flag, value):
+        proc = run_in_subprocess("gen-data", "--out", tmp_path / "data", "--train-per-task", "1",
+                                 "--test-per-task", "1", flag, value)
+        assert proc.returncode == 1
+        assert_one_error_line(proc.stderr)
+        assert not (tmp_path / "data").exists()
 
     def test_failure_in_a_router_replica_is_1(self, mini, tmp_path, capsys, monkeypatch):
         parent = os.getpid()

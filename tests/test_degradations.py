@@ -203,13 +203,23 @@ class TestMakeDataset:
                 ("gaussian_noise", {"sigma": 0.1}),
                 ("low_light", {"scale": 0.5, "gamma": 1.2}))),))
 
+    @pytest.mark.parametrize("field,value", [("patch", 30), ("patch", 8), ("patch", 100000),
+                                             ("mixed_pairs", 0), ("mixed_pairs", -1)])
+    def test_config_rejects_what_later_stages_reject(self, field, value):
+        # a patch the restorer cannot take, one too large to generate, or an
+        # empty mixed split, whose manifest load_manifest would reject
+        with pytest.raises(ConfigError):
+            DatasetConfig(**{field: value})
+
     def test_manifest_loads_and_matches(self, tmp_path):
         manifests = make_dataset(SMALL, tmp_path / "d")
-        loaded = load_manifest(tmp_path / "d" / "train.manifest")
-        assert loaded.labels == manifests["train"].labels
-        for got, want in zip(loaded.tasks, manifests["train"].tasks):
-            assert [(c.name, d.name) for c, d in got.pairs] == \
-                   [(c.name, d.name) for c, d in want.pairs]
+        for split in ("train", "test", "mixed"):
+            loaded = load_manifest(tmp_path / "d" / f"{split}.manifest")
+            assert loaded.labels == manifests[split].labels
+            for got, want in zip(loaded.tasks, manifests[split].tasks):
+                assert [(c.name, d.name) for c, d in got.pairs] == \
+                       [(c.name, d.name) for c, d in want.pairs]
+                assert got.sizes == want.sizes == [(32, 32)] * len(got.pairs)
 
     def test_train_test_pools_disjoint(self, tmp_path):
         manifests = make_dataset(SMALL, tmp_path / "d")
@@ -231,6 +241,16 @@ class TestManifestFormat:
         p.write_text("a\tx.ppm\ty.ppm\n")
         with pytest.raises(DataError):
             load_manifest(p)
+
+    def test_verify_records_each_pairs_size(self, tmp_path):
+        for name, size in (("a", (16, 24)), ("b", (40, 8))):
+            for side in "cd":
+                write_ppm(tmp_path / f"{name}{side}.ppm", Tensor(np.zeros((3, *size), np.float32)))
+        p = tmp_path / "m.manifest"
+        p.write_text("#uir-manifest v1 T=2\nx\tac.ppm\tad.ppm\ny\tbc.ppm\tbd.ppm\n"
+                     "x\tbc.ppm\tbd.ppm\n")
+        assert [t.sizes for t in load_manifest(p).tasks] == [[(16, 24), (40, 8)], [(40, 8)]]
+        assert [t.sizes for t in load_manifest(p, verify=False).tasks] == [None, None]
 
     def test_wrong_task_count_rejected(self, tmp_path):
         p = tmp_path / "bad.manifest"

@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,10 @@ import pytest
 from conftest import usable_cpus
 
 import lorex
-from lorex import harness, lora, numerics, persist, restorer, seeding, workers
+from lorex import degradations, harness, lora, numerics, persist, restorer, seeding, workers
 from lorex import router as router_module
-from lorex.degradations import DatasetManifest, TaskRecord, gen_clean_image, read_ppm, write_ppm
+from lorex.degradations import DatasetConfig, DatasetManifest, TaskRecord, gen_clean_image, \
+    load_manifest, make_dataset, read_ppm, write_manifest, write_ppm
 from lorex.errors import ConfigError, DataError, LorexError, ShapeError
 from lorex.harness import Chunk, build_strategy, evaluate_restoration
 from lorex.lora import aggregated_forward, merge_weights
@@ -234,7 +236,8 @@ class TestPerImageWeights:
 
 
 def write_manifest_pairs(tmp_path, rng, labels, sizes):
-    """A manifest whose tasks each hold one noisy pair per size, in order."""
+    """The verified manifest ``tmp_path / "pairs.manifest"``, whose tasks
+    each hold one noisy pair per size, in order."""
     tasks = []
     for t, label in enumerate(labels):
         pairs = []
@@ -246,7 +249,8 @@ def write_manifest_pairs(tmp_path, rng, labels, sizes):
             write_ppm(paths[1], degraded)
             pairs.append(paths)
         tasks.append(TaskRecord(label, pairs))
-    return DatasetManifest(tasks)
+    write_manifest(tmp_path / "pairs.manifest", DatasetManifest(tasks))
+    return load_manifest(tmp_path / "pairs.manifest")
 
 
 def per_image_reference(model, manifest, strategy):
@@ -331,12 +335,42 @@ class TestEvaluateRestoration:
             evaluate_restoration(model, manifest, strategies)
 
     def test_pair_of_two_sizes_rejected(self, rng, tmp_path):
-        model = build_model(LABELS, seed=3)
+        # by verification, which compares the headers of each pair
         manifest = write_manifest_pairs(tmp_path, rng, ("t0",), [(32, 32)])
-        clean_path = manifest.tasks[0].pairs[0][0]
+        clean_path, degraded_path = manifest.tasks[0].pairs[0]
         write_ppm(clean_path, gen_clean_image(0, (32, 40)))
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=f"{clean_path} is 32x40 but {degraded_path} is 32x32"):
+            load_manifest(tmp_path / "pairs.manifest")
+
+    def test_an_unverified_manifest_is_rejected_before_any_image_is_read(self, rng, tmp_path,
+                                                                        monkeypatch):
+        model = build_model(LABELS, seed=3)
+        write_manifest_pairs(tmp_path, rng, ("t0",), [(32, 32)])
+        manifest = load_manifest(tmp_path / "pairs.manifest", verify=False)
+        monkeypatch.setattr(harness, "read_ppm", lambda path: pytest.fail(f"read {path}"))
+        with pytest.raises(ConfigError, match="task 't0': image sizes unknown"):
             evaluate_restoration(model, manifest, {"average": build_strategy("average", model)})
+
+    def test_each_header_is_parsed_once_to_verify_and_once_to_decode(self, tmp_path,
+                                                                     monkeypatch):
+        # the chunks are cut from the sizes verification recorded
+        config = DatasetConfig(seed=3, train_per_task=1, test_per_task=3, mixed_pairs=1)
+        make_dataset(config, tmp_path / "data")
+        parsed, header = [], degradations._ppm_header
+
+        def counting_header(f, path):
+            parsed.append(Path(path))
+            return header(f, path)
+
+        monkeypatch.setattr(degradations, "_ppm_header", counting_header)
+        with usable_cpus(1):
+            manifest = load_manifest(tmp_path / "data" / "test.manifest")
+            model = build_model(manifest.labels, seed=3)
+            evaluate_restoration(model, manifest, {"average": build_strategy("average", model),
+                                                   "oracle": build_strategy("oracle", model)})
+        files = [path for task in manifest.tasks for pair in task.pairs for path in pair]
+        assert len(files) == 30
+        assert Counter(parsed) == dict.fromkeys(files, 2)
 
     def test_reports_do_not_depend_on_the_usable_cpu_count(self, rng, tmp_path):
         # three tasks of two chunks each (three 32x32 pairs, then one 16x48):
@@ -432,8 +466,8 @@ class TestEvaluateRestoration:
 
     def test_malformed_header_is_raised_before_any_image_is_read(self, rng, tmp_path,
                                                                 monkeypatch):
-        # the caller reads every degraded image's header to cut the chunks,
-        # so the error comes from it, before any worker starts
+        # verifying the manifest reads every header, so the error comes from
+        # it, before evaluation reads any image or starts any worker
         model = build_model(LABELS, seed=3)
         manifest = write_manifest_pairs(tmp_path, rng, LABELS, [(32, 32)] * 3)
         degraded_path = manifest.tasks[1].pairs[-1][1]
@@ -441,7 +475,8 @@ class TestEvaluateRestoration:
         monkeypatch.setattr(harness, "read_ppm", lambda path: pytest.fail(f"read {path}"))
         monkeypatch.setattr(workers, "in_workers", lambda *args: pytest.fail("worker started"))
         with usable_cpus(2), pytest.raises(DataError, match=f"{degraded_path}: malformed"):
-            evaluate_restoration(model, manifest, {"average": build_strategy("average", model)})
+            evaluate_restoration(model, load_manifest(tmp_path / "pairs.manifest"),
+                                 {"average": build_strategy("average", model)})
 
     @pytest.mark.parametrize("name,kwargs", [
         ("bogus", {}), ("manual", {}), ("manual", {"manual_s": [0.5, 0.5]}),
