@@ -443,13 +443,8 @@ class DatasetConfig:
     test_per_task: int = 40
     mixed_pairs: int = 40
     patch: int = 32
-    tasks: tuple[TaskDef, ...] = DEFAULT_TASKS
-    mixed: tuple[MixedDef, ...] = DEFAULT_MIXED
 
     def __post_init__(self):
-        labels = [t.label for t in self.tasks] + [m.label for m in self.mixed]
-        if len(set(labels)) != len(labels):
-            raise ConfigError("task labels must be unique")
         if self.train_per_task < 1 or self.test_per_task < 1 or self.mixed_pairs < 1:
             raise ConfigError("pair counts must be positive")
         if not fits_input(self.patch, self.patch) or self.patch > MAX_PATCH:
@@ -483,7 +478,7 @@ def make_dataset(config: DatasetConfig, out_dir) -> dict[str, DatasetManifest]:
 
     for split, count in (("train", config.train_per_task), ("test", config.test_per_task)):
         records = []
-        for task in config.tasks:
+        for task in DEFAULT_TASKS:
             task_pairs = []
             spec_template = DegradationSpec(task.kind, task.params)
             for i in range(count):
@@ -499,7 +494,7 @@ def make_dataset(config: DatasetConfig, out_dir) -> dict[str, DatasetManifest]:
         write_manifest(out_dir / f"{split}.manifest", manifests[split])
 
     mixed_records = []
-    for mix in config.mixed:
+    for mix in DEFAULT_MIXED:
         task_pairs = []
         templates = tuple(DegradationSpec(kind, params) for kind, params in mix.components)
         for i in range(config.mixed_pairs):

@@ -19,11 +19,11 @@ so workers get equal shares of images when tasks are not a multiple of the
 worker count (two workers score 20 and 20 of five tasks of 8 pairs, not 24
 and 16). Each chunk keeps its images' indices within the task. W processes
 score the chunks, W being the smaller of the chunk count and the usable
-cores that BLAS threads leave free (see ``workers``): the calling process
-takes chunks 0, W, 2W, ..., and W - 1 forked children take the rest. No
-score depends on the images scored with it, and each task's values are
-joined in manifest order before its reports are built, so the reports are
-the ones a single process computes, whatever the core count.
+cores (see ``workers``): the calling process takes chunks 0, W, 2W, ...,
+and W - 1 forked children take the rest. No score depends on the images
+scored with it, and each task's values are joined in manifest order before
+its reports are built, so the reports are the ones a single process
+computes, whatever the core count.
 
 ``train_experts`` trains experts in the same workers, one task per item: an
 expert depends only on the base, its own initial factors, its task's pairs
@@ -39,8 +39,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import seeding, workers
-from .degradations import DatasetManifest, read_ppm
-from .errors import ConfigError
+from .degradations import DatasetManifest, TaskRecord, read_ppm
+from .errors import ConfigError, DataError
 from .metrics import MetricReport, psnr, ssim_chunk, ssim_reference
 from .numerics import DTYPE, Tensor
 from .restorer import AdapterTrainer, RestorerModel, TaskData, TrainConfig, restore
@@ -53,25 +53,34 @@ PRETRAIN = TrainConfig(learning_rate=2e-3, iterations=4000)
 ROUTER = TrainConfig(iterations=6000, batch_size=16)
 
 
+def _read(task: TaskRecord, side: int, first: int = 0, end: int | None = None) -> list[np.ndarray]:
+    """Clean (side 0) or degraded (1) images of pairs ``first:end``, each of its recorded size."""
+    images = [read_ppm(pair[side]).data for pair in task.pairs[first:end]]
+    for pair, image, (h, w) in zip(task.pairs[first:end], images, task.known_sizes()[first:end]):
+        if image.shape[1:] != (h, w):
+            raise DataError(f"{pair[side]} is {image.shape[1]}x{image.shape[2]}, but the "
+                            f"verified manifest recorded {h}x{w}")
+    return images
+
+
 def load_task_data(manifest: DatasetManifest, label: str) -> TaskData:
     """One task's pairs, stacked; they must share one size
     (``DatasetManifest.shared_size``), which is checked before any is read."""
     manifest.shared_size([label])
-    pairs = manifest.task(label).pairs
-    return TaskData(label, np.stack([read_ppm(d).data for _, d in pairs]),
-                    np.stack([read_ppm(c).data for c, _ in pairs]))
+    task = manifest.task(label)
+    return TaskData(label, np.stack(_read(task, 1)), np.stack(_read(task, 0)))
 
 
 def clean_training_images(manifest: DatasetManifest) -> list[Tensor]:
     """All clean images in manifest order (task order, then index order);
     they must share one size, which is checked before any is read."""
     manifest.shared_size(manifest.labels)
-    return [read_ppm(c) for task in manifest.tasks for c, _ in task.pairs]
+    return [Tensor._wrap(image) for task in manifest.tasks for image in _read(task, 0)]
 
 
 def router_training_set(manifest: DatasetManifest) -> list[tuple[str, list[Tensor]]]:
     """Per-label degraded images, the router's training input."""
-    return [(task.label, [read_ppm(d) for _, d in task.pairs]) for task in manifest.tasks]
+    return [(task.label, list(map(Tensor._wrap, _read(task, 1)))) for task in manifest.tasks]
 
 
 @dataclass
@@ -228,9 +237,7 @@ def evaluate_restoration(model: RestorerModel, manifest: DatasetManifest,
 
     def score(item):
         t, first, end = item
-        task = manifest.tasks[t]
-        return _score_chunk(model, task.label, task.pairs[first:end], first, strategies,
-                            with_baseline)
+        return _score_chunk(model, manifest.tasks[t], first, end, strategies, with_baseline)
 
     metrics = ("psnr", "ssim", "psnr_degraded") if with_baseline else ("psnr", "ssim")
     values = [{name: {metric: [] for metric in metrics} for name in strategies}
@@ -244,13 +251,13 @@ def evaluate_restoration(model: RestorerModel, manifest: DatasetManifest,
             for name in strategies}
 
 
-def _score_chunk(model: RestorerModel, label: str, pairs, first: int,
+def _score_chunk(model: RestorerModel, task: TaskRecord, first: int, end: int,
                  strategies: Mapping[str, Strategy], with_baseline: bool
                  ) -> dict[str, dict[str, list[float]]]:
-    # strategy -> metric -> per-pair values for ``pairs``, the chunk of task
-    # ``label`` from index ``first`` on, each image read once
-    chunk = Chunk(label, first, np.stack([read_ppm(d).data for _, d in pairs]))
-    clean = np.stack([read_ppm(c).data for c, _ in pairs])
+    # strategy -> metric -> per-pair values for the chunk of ``task``'s
+    # pairs ``first:end``, each image read once
+    chunk = Chunk(task.label, first, np.stack(_read(task, 1, first, end)))
+    clean = np.stack(_read(task, 0, first, end))
     reference = ssim_reference(clean)
     base = ({"psnr_degraded": [psnr(d, c) for d, c in zip(chunk.images, clean)]}
             if with_baseline else {})

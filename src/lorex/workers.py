@@ -1,11 +1,10 @@
 """Forked worker processes: how many, and the one way lorex runs work in them.
 
-The worker count is ``W = min(items, usable cores // BLAS threads)``, at
-least one (``_worker_count``), and one where ``os.fork`` or
-``os.sched_getaffinity`` is missing. Each worker runs BLAS with the
-caller's thread count, so the workers' BLAS threads never outnumber the
-usable cores (two processes of two BLAS threads each on two cores train
-experts 2-3x slower than one process).
+The worker count is ``W = min(items, usable cores)``, at least one
+(``_worker_count``), and one where ``os.fork`` or ``os.sched_getaffinity``
+is missing. Importing this module, as ``import lorex`` does, pins OpenBLAS
+to one thread for the whole process (``_blas_threads``), which forked
+workers inherit, so no result or worker count depends on its thread count.
 
 ``replicas`` runs one loop in W processes that split the shards of each
 step among them and swap the results in its ``gather``, so every process
@@ -51,32 +50,35 @@ SHARDS = 2
 _PR_SET_PDEATHSIG = 1      # <sys/prctl.h>
 
 
-def _blas_threads() -> int:
-    """The thread count the loaded OpenBLAS reports; 1 where none is found."""
+def _blas_threads() -> None:
+    """Set every loaded OpenBLAS to one thread; nothing where none is found."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as maps:
             libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
     except OSError:
-        return 1
+        return
     for lib in libs:
         try:
             handle = ctypes.CDLL(lib)
         except OSError:         # a mapping whose file is gone
             continue
-        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                     "openblas_get_num_threads"):
-            get = getattr(handle, name, None)
-            if get is not None:
-                get.argtypes = ()
-                get.restype = ctypes.c_int
-                return max(1, get())
-    return 1
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                     "openblas_set_num_threads"):
+            pin = getattr(handle, name, None)
+            if pin is not None:
+                pin.argtypes = (ctypes.c_int,)
+                pin.restype = None
+                pin(1)
+                break
+
+
+_blas_threads()
 
 
 def _worker_count(items: int) -> int:
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
-    return max(1, min(items, len(os.sched_getaffinity(0)) // _blas_threads()))
+    return max(1, min(items, len(os.sched_getaffinity(0))))
 
 
 def _message(ok: bool, value) -> bytes:

@@ -97,6 +97,16 @@ def mini(tmp_path_factory):
     return {"root": root, "data": data, "base": base, "router": router}
 
 
+@pytest.fixture(scope="module")
+def mini64(tmp_path_factory):
+    """A 64x64 training set of eight pairs per task, the size at which the
+    training GEMMs of a threaded OpenBLAS sum in another order."""
+    data = tmp_path_factory.mktemp("cli64") / "data"
+    assert run("gen-data", "--out", data, "--seed", "3", "--patch", "64",
+               "--train-per-task", "8", "--test-per-task", "1", "--mixed-pairs", "1") == 0
+    return {"data": data}
+
+
 class TestGenData:
     def test_deterministic_trees(self, tmp_path):
         for sub in ("a", "b"):
@@ -546,27 +556,43 @@ class TestTrainCommands:
 
 
     def test_pretrain_base_is_byte_identical_for_any_cpu_or_blas_thread_count(self, mini,
+                                                                               mini64,
                                                                                tmp_path):
-        # mini["base"] is the same command, run in this process with every
-        # usable CPU; batch 8 splits into two shards of 4
-        args = ("pretrain-base", "--data", mini["data"] / "train.manifest",
-                "--seed", "3", "--iterations", "4")
-        for cpus in (1, 2):
-            out = tmp_path / f"base_{cpus}cpu.uirl"
-            with usable_cpus(cpus):
-                assert run(*args, "--out", out) == 0
-            assert out.read_bytes() == mini["base"].read_bytes(), cpus
-        for threads in ("1", "2"):
-            out = tmp_path / f"base_{threads}blas.uirl"
-            proc = run_in_subprocess(*args, "--out", out, OPENBLAS_NUM_THREADS=threads)
-            assert proc.returncode == 0, proc.stderr
-            assert out.read_bytes() == mini["base"].read_bytes(), threads
+        # mini["base"] is the same command on mini's data, run in this process
+        # with every usable CPU; batch 8 splits into two shards of 4
+        for data in (mini, mini64):
+            args = ("pretrain-base", "--data", data["data"] / "train.manifest",
+                    "--seed", "3", "--iterations", "4")
+            outs = []
+            for cpus in (1, 2):
+                outs.append(tmp_path / f"base_{cpus}cpu.uirl")
+                with usable_cpus(cpus):
+                    assert run(*args, "--out", outs[-1]) == 0
+            for threads in ("1", "2"):
+                outs.append(tmp_path / f"base_{threads}blas.uirl")
+                proc = run_in_subprocess(*args, "--out", outs[-1], OPENBLAS_NUM_THREADS=threads)
+                assert proc.returncode == 0, proc.stderr
+            expected = data.get("base", outs[0]).read_bytes()
+            assert [out.read_bytes() == expected for out in outs] == [True] * 4, data["data"]
+
+    def test_train_lora_all_is_byte_identical_for_any_blas_thread_count(self, mini, mini64,
+                                                                         tmp_path):
+        # the base is convolutional, so mini's 32x32 base trains 64x64 experts
+        for data in (mini, mini64):
+            outs = []
+            for threads in ("1", "2"):
+                outs.append(tmp_path / f"experts_{threads}blas.uirl")
+                proc = run_in_subprocess("train-lora", "--task", "all",
+                                         "--data", data["data"] / "train.manifest",
+                                         "--ckpt", mini["base"], "--out", outs[-1],
+                                         "--iterations", "3", OPENBLAS_NUM_THREADS=threads)
+                assert proc.returncode == 0, proc.stderr
+            assert outs[0].read_bytes() == outs[1].read_bytes(), data["data"]
 
     def test_no_training_worker_outlives_a_sigterm(self, mini, tmp_path):
         # SIGTERM (from timeout, a scheduler or a closed terminal) kills the
         # command at once, without running any of its cleanup
-        env = dict(os.environ, PYTHONPATH=str(Path(lorex.__file__).parents[1]),
-                   OPENBLAS_NUM_THREADS="1")
+        env = dict(os.environ, PYTHONPATH=str(Path(lorex.__file__).parents[1]))
         argv = [sys.executable, "-m", "lorex.cli", "train-lora", "--task", "all",
                 "--data", mini["data"] / "train.manifest", "--ckpt", mini["base"],
                 "--out", tmp_path / "all.uirl", "--iterations", "100000"]

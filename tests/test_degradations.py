@@ -10,8 +10,6 @@ from lorex.degradations import (
     DEFAULT_TASKS,
     DatasetConfig,
     DegradationSpec,
-    MixedDef,
-    TaskDef,
     apply_degradation,
     gen_clean_image,
     load_manifest,
@@ -190,18 +188,6 @@ class TestMakeDataset:
         make_dataset(SMALL, tmp_path / "a")
         make_dataset(SMALL, tmp_path / "b")
         assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
-
-    def test_duplicate_labels_rejected(self):
-        tasks = (TaskDef("x", "gaussian_noise", {"sigma": 0.1}),
-                 TaskDef("x", "masking", {"fraction": 0.2, "block": 8}))
-        with pytest.raises(ConfigError):
-            DatasetConfig(tasks=tasks, mixed=())
-
-    def test_mixed_label_collision_rejected(self):
-        with pytest.raises(ConfigError):
-            DatasetConfig(mixed=(MixedDef("gaussian_noise", (
-                ("gaussian_noise", {"sigma": 0.1}),
-                ("low_light", {"scale": 0.5, "gamma": 1.2}))),))
 
     @pytest.mark.parametrize("field,value", [("patch", 30), ("patch", 8), ("patch", 100000),
                                              ("mixed_pairs", 0), ("mixed_pairs", -1)])

@@ -342,6 +342,27 @@ class TestEvaluateRestoration:
         with pytest.raises(DataError, match=f"{clean_path} is 32x40 but {degraded_path} is 32x32"):
             load_manifest(tmp_path / "pairs.manifest")
 
+    def test_image_resized_after_verification_is_rejected(self, tmp_path):
+        # every read of training and evaluation compares the decoded image
+        # with the size verification recorded
+        make_dataset(DatasetConfig(seed=3, train_per_task=2, test_per_task=1, mixed_pairs=1),
+                     tmp_path / "data")
+        manifest = load_manifest(tmp_path / "data" / "train.manifest")
+        model = build_model(manifest.labels, seed=3)
+        clean_path, degraded_path = manifest.tasks[0].pairs[1]
+        write_ppm(clean_path, gen_clean_image(0, (40, 32)))
+        resized = f"{clean_path} is 40x32, but the verified manifest recorded 32x32"
+        with pytest.raises(DataError, match=resized):
+            harness.load_task_data(manifest, manifest.labels[0])
+        with pytest.raises(DataError, match=resized):
+            harness.clean_training_images(manifest)
+        with pytest.raises(DataError, match=resized):
+            evaluate_restoration(model, manifest, {"average": build_strategy("average", model)})
+        write_ppm(degraded_path, gen_clean_image(0, (32, 40)))
+        with pytest.raises(DataError,
+                           match=f"{degraded_path} is 32x40, but the verified manifest recorded"):
+            harness.router_training_set(manifest)
+
     def test_an_unverified_manifest_is_rejected_before_any_image_is_read(self, rng, tmp_path,
                                                                         monkeypatch):
         model = build_model(LABELS, seed=3)
@@ -498,21 +519,19 @@ class TestInWorkers:
         assert [x for x, _ in got] == list(range(7))
         assert [pid == parent for _, pid in got] == [i % 2 == 0 for i in range(7)]
 
-    @pytest.mark.parametrize("blas_threads,count", [(1, 2), (2, 1), (3, 1)])
-    def test_workers_leave_the_cores_that_blas_threads_use(self, blas_threads, count):
-        with usable_cpus(2, blas_threads):
-            assert workers._worker_count(7) == count
-
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_blas_thread_count_is_read_from_the_loaded_blas(self, threads):
-        if "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]:
-            pytest.skip("numpy does not use OpenBLAS")
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+    def test_worker_count_ignores_the_blas_thread_count(self):
+        # importing lorex pins OpenBLAS to one thread, so two usable CPUs give
+        # two workers whatever OPENBLAS_NUM_THREADS says
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("needs 2 usable CPUs")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
                    PYTHONPATH=str(Path(lorex.__file__).parents[1]))
         proc = subprocess.run(
-            [sys.executable, "-c", "from lorex import workers; print(workers._blas_threads())"],
+            [sys.executable, "-c", "import os; from lorex import workers; "
+             "os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2]); "
+             "print(workers._worker_count(7))"],
             capture_output=True, text=True, env=env, timeout=60)
-        assert proc.stdout.split() == [str(threads)], proc.stderr
+        assert proc.stdout.split() == ["2"], proc.stderr
 
     def test_worker_count_is_at_most_the_item_count(self):
         with usable_cpus(2):
