@@ -15,6 +15,7 @@ File formats owned here:
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import seeding
+from . import seeding, workers
 from .errors import ConfigError, DataError, ShapeError
 from .fileio import _write_atomic
 from .numerics import DTYPE, Tensor
@@ -451,64 +452,58 @@ class DatasetConfig:
             raise ConfigError(f"patch {self.patch} is not a multiple of 8 in [16, {MAX_PATCH}]")
 
 
-def _write_pair(out_dir: Path, label: str, index: int, clean: Tensor,
-                degraded: Tensor) -> tuple[Path, Path]:
-    task_dir = out_dir / label
-    task_dir.mkdir(parents=True, exist_ok=True)
-    clean_path = task_dir / f"p{index:04d}_clean.ppm"
-    degraded_path = task_dir / f"p{index:04d}_degraded.ppm"
-    write_ppm(clean_path, clean)
-    write_ppm(degraded_path, degraded)
-    return clean_path, degraded_path
-
-
 def make_dataset(config: DatasetConfig, out_dir) -> dict[str, DatasetManifest]:
     """Generate the paired corpus and write train/test/mixed manifests.
 
-    Clean pools are seed-disjoint across tasks and splits. Degraded images
-    are saved after re-reading the quantized clean file, so every stored
-    pair is exactly (degrade(clean_file), clean_file) up to output
-    quantization. Mixed sets are test-only composites applied in the
-    declared component order.
+    Clean pools are seed-disjoint across tasks and splits, and every pair
+    is exactly (degrade(clean_file), clean_file) up to output quantization.
+    Mixed sets are test-only composites applied in the declared component
+    order; a single-degradation task is a composite of one. Each pair is
+    one item of ``workers.in_workers``, seeded on its own, so the files are
+    byte-identical for any worker count. Old manifests in ``out_dir`` are
+    removed first and the new ones written once every pair is on disk, so
+    a failed run leaves none.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     size = (config.patch, config.patch)
+    single = [(t.label, ((t.kind, t.params),)) for t in DEFAULT_TASKS]
+    groups = (("train", config.train_per_task, single), ("test", config.test_per_task, single),
+              ("mixed", config.mixed_pairs, [(m.label, m.components) for m in DEFAULT_MIXED]))
+    for split, _, _ in groups:
+        (out_dir / f"{split}.manifest").unlink(missing_ok=True)
+    seed = functools.partial(seeding.derive_seed, config.seed)
     manifests: dict[str, DatasetManifest] = {}
-
-    for split, count in (("train", config.train_per_task), ("test", config.test_per_task)):
+    jobs = []                   # (clean path, degraded path, clean seed, seeded specs)
+    for split, count, tasks in groups:
         records = []
-        for task in DEFAULT_TASKS:
-            task_pairs = []
-            spec_template = DegradationSpec(task.kind, task.params)
-            for i in range(count):
-                clean = gen_clean_image(
-                    seeding.derive_seed(config.seed, "clean", split, task.label, i), size)
-                spec = spec_template.with_seed(
-                    seeding.derive_seed(config.seed, "degrade", split, task.label, i))
-                paths = _write_pair(out_dir / split, task.label, i, clean,
-                                    apply_degradation(_quantized(clean), spec))
-                task_pairs.append(paths)
-            records.append(TaskRecord(task.label, task_pairs, (spec_template,), [size] * count))
+        for label, components in tasks:
+            templates = tuple(DegradationSpec(kind, params) for kind, params in components)
+            task_dir = out_dir / split / label
+            task_dir.mkdir(parents=True, exist_ok=True)
+            pairs = [(task_dir / f"p{i:04d}_clean.ppm", task_dir / f"p{i:04d}_degraded.ppm")
+                     for i in range(count)]
+            for i, pair in enumerate(pairs):
+                # a mixed pair seeds its component ci with tag (i, ci), any other pair with i
+                tags = [(i, ci) for ci in range(len(templates))] if split == "mixed" else [(i,)]
+                specs = tuple(t.with_seed(seed("degrade", split, label, *tag))
+                              for t, tag in zip(templates, tags))
+                jobs.append((*pair, seed("clean", split, label, i), specs))
+            records.append(TaskRecord(label, pairs, templates, [size] * count))
         manifests[split] = DatasetManifest(records)
-        write_manifest(out_dir / f"{split}.manifest", manifests[split])
-
-    mixed_records = []
-    for mix in DEFAULT_MIXED:
-        task_pairs = []
-        templates = tuple(DegradationSpec(kind, params) for kind, params in mix.components)
-        for i in range(config.mixed_pairs):
-            clean = gen_clean_image(
-                seeding.derive_seed(config.seed, "clean", "mixed", mix.label, i), size)
-            img = _quantized(clean)
-            for ci, template in enumerate(templates):
-                img = apply_degradation(img, template.with_seed(
-                    seeding.derive_seed(config.seed, "degrade", "mixed", mix.label, i, ci)))
-            task_pairs.append(_write_pair(out_dir / "mixed", mix.label, i, clean, img))
-        mixed_records.append(TaskRecord(mix.label, task_pairs, templates, [size] * len(task_pairs)))
-    manifests["mixed"] = DatasetManifest(mixed_records)
-    write_manifest(out_dir / "mixed.manifest", manifests["mixed"])
+    workers.in_workers(lambda job: _write_pair(*job, size), jobs)
+    for split, manifest in manifests.items():
+        write_manifest(out_dir / f"{split}.manifest", manifest)
     return manifests
+
+
+def _write_pair(clean_path: Path, degraded_path: Path, clean_seed: int,
+                specs: tuple[DegradationSpec, ...], size: tuple[int, int]) -> None:
+    clean = gen_clean_image(clean_seed, size)
+    degraded = _quantized(clean)
+    for spec in specs:
+        degraded = apply_degradation(degraded, spec)
+    write_ppm(clean_path, clean)
+    write_ppm(degraded_path, degraded)
 
 
 def _quantized(image: Tensor) -> Tensor:

@@ -11,8 +11,9 @@ step among them and swap the results in its ``gather``, so every process
 gets every shard's result: ``train_sharded``, the training step of router
 training and base pretraining, computes its two half-batch gradients with
 it. ``in_workers`` is one ``gather`` over independent items: evaluation
-scores chunks of a task's images with it and ``train_experts`` trains
-experts with it.
+scores chunks of a task's images with it, ``train_experts`` trains
+experts with it and ``make_dataset`` (``gen-data``) writes one image pair
+per item.
 
 Processes send their results through pipes, each message a pickled
 ``(ok, value)`` behind its length. An exception raised in a child is

@@ -7,6 +7,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -14,6 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import usable_cpus
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lorex
 from lorex import cli, degradations, harness, persist, workers
@@ -128,6 +131,35 @@ class TestGenData:
                    "--train-per-task", "4") == 0
         lines = (out2 / "train.manifest").read_text().splitlines()
         assert len(lines) == 1 + 5 * 4
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), train=st.integers(1, 3), test=st.integers(1, 3),
+           mixed=st.integers(1, 3), patch=st.sampled_from([16, 24, 32, 40]))
+    def test_what_it_writes_verifies(self, seed, train, test, mixed, patch):
+        with tempfile.TemporaryDirectory() as out:
+            assert run("gen-data", "--out", out, "--seed", seed, "--train-per-task", train,
+                       "--test-per-task", test, "--mixed-pairs", mixed, "--patch", patch) == 0
+            for split, count in (("train", train), ("test", test), ("mixed", mixed)):
+                for task in load_manifest(Path(out) / f"{split}.manifest", verify=True).tasks:
+                    assert task.sizes == [(patch, patch)] * count
+
+    def test_failure_in_a_worker_leaves_no_manifest(self, tmp_path, capsys):
+        # the jobs run in manifest order, 5 train pairs then 5 test pairs and
+        # 2 mixed; with two workers the forked one takes the odd jobs, so job
+        # 5, the first test pair, is its; an old manifest is removed too
+        out = tmp_path / "data"
+        target = out / "test" / "gaussian_noise" / "p0000_degraded.ppm"
+        target.mkdir(parents=True)
+        (out / "test.manifest").write_text("#uir-manifest v1 T=1\nold\tx.ppm\ty.ppm\n")
+        with usable_cpus(2):
+            assert run("gen-data", "--out", out, "--train-per-task", "1",
+                       "--test-per-task", "1", "--mixed-pairs", "1") == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert str(target) in err
+        assert not list(out.glob("*.manifest"))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestExitCodes:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import usable_cpus
 
 from lorex.degradations import (
     DEFAULT_TASKS,
@@ -188,6 +189,17 @@ class TestMakeDataset:
         make_dataset(SMALL, tmp_path / "a")
         make_dataset(SMALL, tmp_path / "b")
         assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
+
+    @pytest.mark.parametrize("config", [
+        DatasetConfig(seed=5, train_per_task=3, test_per_task=2, mixed_pairs=3),
+        DatasetConfig(seed=5, train_per_task=1, test_per_task=1, mixed_pairs=1, patch=64),
+    ], ids=["odd-job-count", "patch-64"])
+    def test_byte_identical_for_any_cpu_count(self, tmp_path, config):
+        # 31 pairs, which two workers split 16 and 15; then 12 pairs of 64x64
+        for cpus in (1, 2):
+            with usable_cpus(cpus):
+                make_dataset(config, tmp_path / str(cpus))
+        assert tree_digest(tmp_path / "1") == tree_digest(tmp_path / "2")
 
     @pytest.mark.parametrize("field,value", [("patch", 30), ("patch", 8), ("patch", 100000),
                                              ("mixed_pairs", 0), ("mixed_pairs", -1)])
